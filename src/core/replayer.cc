@@ -51,32 +51,22 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
   // engine uses the cached selection path, which also hands back the
   // template's compiled program (null = interpreter fallback).
   std::vector<const InteractionTemplate*> rejected;
-  const InteractionTemplate* tpl = nullptr;
-  std::shared_ptr<const CompiledProgram> prog;
-  if (engine_ == ReplayEngine::kCompiled) {
-    Result<TemplateStore::CompiledSelection> sel =
-        store_->SelectCompiled(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
-    if (!sel.ok()) {
-      if (tel.enabled() && sel.status() == Status::kNoTemplate) {
-        tel.metrics().counter("replay.template_miss").Inc();
-      }
-      return sel.status();
+  bool compiled = engine_ == ReplayEngine::kCompiled;
+  Result<TemplateStore::CompiledSelection> sel =
+      compiled ? store_->SelectCompiled(scope_, entry, args.scalars,
+                                        tel.enabled() ? &rejected : nullptr)
+               : store_->SelectInterpreted(scope_, entry, args.scalars,
+                                           tel.enabled() ? &rejected : nullptr);
+  if (!sel.ok()) {
+    if (tel.enabled() && sel.status() == Status::kNoTemplate) {
+      tel.metrics().counter("replay.template_miss").Inc();
     }
-    tpl = sel->tpl;
-    prog = sel->program;
-    if (prog == nullptr && tel.enabled()) {
-      tel.metrics().counter("replay.compile_fallbacks").Inc();
-    }
-  } else {
-    Result<const InteractionTemplate*> sel =
-        store_->Select(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
-    if (!sel.ok()) {
-      if (tel.enabled() && sel.status() == Status::kNoTemplate) {
-        tel.metrics().counter("replay.template_miss").Inc();
-      }
-      return sel.status();
-    }
-    tpl = *sel;
+    return sel.status();
+  }
+  const InteractionTemplate* tpl = sel->tpl;
+  std::shared_ptr<const CompiledProgram> prog = std::move(sel->program);
+  if (compiled && prog == nullptr && tel.enabled()) {
+    tel.metrics().counter("replay.compile_fallbacks").Inc();
   }
   if (tel.enabled()) {
     for (const InteractionTemplate* r : rejected) {
@@ -93,6 +83,16 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
   stats.compiled = prog != nullptr;
   report_ = DivergenceReport{};
 
+  // The latest attempt's chain, read once on the way out. Each attempt's
+  // chain is deferred (integrity.h): executing only counts events, and that
+  // one read returns the template's cached golden digest for a complete run
+  // or hashes a stopped attempt's prefix. Earlier attempts are never hashed.
+  IntegrityChain chain;
+  auto seal_measurement = [&] {
+    if (measurement_.valid) {
+      measurement_.digest = chain.digest();
+    }
+  };
   for (int attempt = 1; attempt <= max_attempts_; ++attempt) {
     stats.attempts = attempt;
     if (attempt > 1 && retry_backoff_us_ > 0) {
@@ -116,6 +116,7 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
       }
       Status reset = ctx_->SoftResetDevice(tpl->primary_device);
       if (!Ok(reset)) {
+        seal_measurement();
         return reset;
       }
       ++stats.resets;
@@ -125,8 +126,8 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
 
     // Fresh chain per attempt: the measurement describes the final attempt's
     // execution, not the union of retries.
-    IntegrityChain chain;
-    chain.Begin(*tpl);
+    chain = IntegrityChain();
+    chain.BeginDeferred(*tpl, sel->golden);
     Status s = Status::kOk;
     size_t events = 0;
     if (prog != nullptr) {
@@ -148,12 +149,12 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
     measurement_.valid = true;
     measurement_.template_name = tpl->name;
     measurement_.events_measured = chain.folded();
-    measurement_.digest = chain.digest();
     // A complete run's chain equals the golden measurement by construction;
     // anything that stopped early folded a strict prefix, whose chain value
     // cannot collide with the full one.
     measurement_.matches_golden = Ok(s);
     if (Ok(s)) {
+      seal_measurement();
       stats.measurement = measurement_.Hex();
       stats.events_measured = measurement_.events_measured;
       if (tel.enabled()) {
@@ -166,12 +167,14 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
       return stats;
     }
     if (s != Status::kDiverged && s != Status::kTimeout) {
+      seal_measurement();
       return s;  // hard errors (bounds violation, corrupt template) do not retry
     }
     DLT_LOG(kInfo) << "replay divergence in " << tpl->name << " at event #" << report_.event_index
                    << " (" << report_.event_desc << "), attempt " << attempt;
   }
   // Persistent divergence: give up and surface the rewound report (§5).
+  seal_measurement();
   if (tel.enabled()) {
     uint64_t now = ctx_->TimestampUs();
     tel.metrics().counter("replay.aborts").Inc();

@@ -163,6 +163,7 @@ Status TemplateStore::AddPackageInternal(const DriverletPackage* eager,
       if (states != nullptr) {
         c.lazy = (*states)[ti];
       }
+      c.golden = &next->goldens.emplace_back();
       slot.candidates.push_back(std::move(c));
       ++ti;
     }
@@ -439,12 +440,23 @@ Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
 Result<const InteractionTemplate*> TemplateStore::Select(
     std::string_view driverlet, std::string_view entry, const Bindings& scalars,
     std::vector<const InteractionTemplate*>* rejected) const {
+  DLT_ASSIGN_OR_RETURN(CompiledSelection sel,
+                       SelectInterpreted(driverlet, entry, scalars, rejected));
+  return sel.tpl;
+}
+
+Result<TemplateStore::CompiledSelection> TemplateStore::SelectInterpreted(
+    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
+    std::vector<const InteractionTemplate*>* rejected) const {
   // Rejected-candidate reporting needs the full scan: index-pruned candidates
   // never evaluate, so the subset cannot reproduce the report.
   DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
                                                            /*use_index=*/rejected == nullptr));
   DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
-  return c->tpl;
+  CompiledSelection out;
+  out.tpl = c->tpl;
+  out.golden = c->golden;
+  return out;
 }
 
 Result<const InteractionTemplate*> TemplateStore::SelectLinear(
@@ -539,6 +551,7 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
       CompiledSelection out;
       out.tpl = c->tpl;
       out.program = ProgramFor(c->tpl);
+      out.golden = c->golden;
       return out;
     }
   }
@@ -582,7 +595,7 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
     key = heap_key;
   }
 
-  const std::vector<CachedCandidate>* cands = nullptr;
+  const std::vector<CompiledSelection>* cands = nullptr;
   auto hit = select_cache_.find(key);
   if (hit != select_cache_.end()) {
     CountCache(&select_cache_hits_, "replay.select_cache.hit");
@@ -624,7 +637,7 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
         // decayed under us after its signature check (effectively unreachable:
         // bodies were bounds-checked at Parse).
         DLT_RETURN_IF_ERROR(EnsureHydrated(c));
-        fresh.candidates.push_back(CachedCandidate{c.tpl, ProgramFor(c.tpl)});
+        fresh.candidates.push_back(CompiledSelection{c.tpl, ProgramFor(c.tpl), c.golden});
       }
     }
     if (select_cache_.size() >= kSelectCacheCapacity) {
@@ -648,7 +661,7 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
   // runs when a program exists; fallback templates use the tree evaluator.
   CompiledSelection selected;
   uint64_t scanned = 0;
-  for (const CachedCandidate& c : *cands) {
+  for (const CompiledSelection& c : *cands) {
     ++scanned;
     Result<bool> ok = c.program != nullptr ? c.program->EvalInitial(scalars)
                                            : c.tpl->initial.Eval(scalars);
@@ -666,8 +679,7 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
                      << c.tpl->name;
       continue;
     }
-    selected.tpl = c.tpl;
-    selected.program = c.program;
+    selected = c;
   }
   shared_->candidates_scanned.fetch_add(scanned, std::memory_order_relaxed);
   if (selected.tpl == nullptr) {

@@ -28,10 +28,11 @@
 // swaps one atomic pointer; readers load the pointer once per call and never
 // take a lock. Retired populations are kept alive for the store's lifetime
 // (registration is rare), so template pointers handed out by Select never
-// dangle even across a concurrent package reload. Lazy event bodies are the
-// one mutation after publish; they are guarded by a per-template mutex +
-// acquire/release latch, and a rebuild re-parses lazy directories into fresh
-// unhydrated states instead of copying possibly-mid-hydration templates.
+// dangle even across a concurrent package reload. Lazy event bodies and
+// golden-measurement caches are the only mutations after publish; each is
+// guarded by a per-template mutex + acquire/release latch, and a rebuild
+// re-parses lazy directories into fresh unhydrated states (and starts fresh,
+// empty golden caches) instead of copying possibly-mid-fill state.
 //
 // A store created with the default constructor owns its population. Shards of
 // a replay fleet call NewShardView() instead: every view shares the same
@@ -53,6 +54,7 @@
 
 #include "src/core/compiled_program.h"
 #include "src/core/constraint_index.h"
+#include "src/core/integrity.h"
 #include "src/core/interaction_template.h"
 #include "src/core/package.h"
 
@@ -80,6 +82,9 @@ class TemplateStore {
     std::vector<std::string> scalar_params;
     // Non-null for lazily-loaded templates: hydrate before handing out tpl.
     LazyState* lazy = nullptr;
+    // The template's golden measurement, filled by the first replay that
+    // reads it — never at registration, hydration or selection.
+    const GoldenCache* golden = nullptr;
   };
 
   TemplateStore();
@@ -139,6 +144,23 @@ class TemplateStore {
       std::string_view driverlet, std::string_view entry, const Bindings& scalars,
       std::vector<const InteractionTemplate*>* rejected = nullptr) const;
 
+  // Selection result: the selected template, its compiled program and its
+  // golden-measurement cache. A null |program| means the template is run by
+  // the interpreter (never compiled, or kUnsupported shapes). |golden| belongs
+  // to the population snapshot |tpl| came from, so a later package swap can
+  // never pair a template with another snapshot's digest.
+  struct CompiledSelection {
+    const InteractionTemplate* tpl = nullptr;
+    std::shared_ptr<const CompiledProgram> program;
+    const GoldenCache* golden = nullptr;
+  };
+
+  // Select for the interpreter engine: the same winner, plus its golden
+  // cache; |program| stays null.
+  Result<CompiledSelection> SelectInterpreted(
+      std::string_view driverlet, std::string_view entry, const Bindings& scalars,
+      std::vector<const InteractionTemplate*>* rejected = nullptr) const;
+
   // The full linear scan, bypassing every constraint index: the differential
   // oracle for the indexed path (tests, bench digest parity) and the
   // implementation behind rejected-candidate reporting. Selection semantics
@@ -168,14 +190,6 @@ class TemplateStore {
   size_t lazy_template_count() const;
   // Entry slots carrying a discriminating constraint index.
   size_t indexed_slot_count() const;
-
-  // Compiled selection result: the selected template plus its compiled program.
-  // A null |program| means the template didn't compile (kUnsupported shapes);
-  // callers fall back to the interpreter for that template.
-  struct CompiledSelection {
-    const InteractionTemplate* tpl = nullptr;
-    std::shared_ptr<const CompiledProgram> program;
-  };
 
   // Select + compile with two caches in front (docs/replay_compiler.md):
   //  - a per-(driverlet, entry, scalar-name signature) selection cache holding
@@ -264,6 +278,9 @@ class TemplateStore {
     // Hydration latches for this snapshot's lazy templates (deque: stable
     // addresses, LazyState is neither movable nor copyable).
     std::deque<LazyState> lazy_states;
+    // One golden-measurement cache per template, same storage rules. A
+    // rebuild starts them all empty: the snapshot's templates are new objects.
+    std::deque<GoldenCache> goldens;
   };
 
   // State shared by every view of one population.
@@ -285,13 +302,9 @@ class TemplateStore {
     std::string compile_cache_dir;
   };
 
-  // One param-filtered candidate with its program attached (selection cache).
-  struct CachedCandidate {
-    const InteractionTemplate* tpl = nullptr;
-    std::shared_ptr<const CompiledProgram> program;
-  };
   struct SelectCacheEntry {
-    std::vector<CachedCandidate> candidates;
+    // The param-filtered candidates, each with its program attached.
+    std::vector<CompiledSelection> candidates;
     uint64_t tick = 0;  // LRU stamp
   };
 

@@ -208,7 +208,8 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   bool mismatch = false;
   if (m.valid) {
     s.pcr.Extend(m.digest);
-    s.stats.last_measurement = m.Hex();
+    // A successful invoke already carries the digest hex-encoded.
+    s.stats.last_measurement = r.ok() ? r->measurement : m.Hex();
     if (!m.matches_golden) {
       mismatch = true;
       ++s.stats.measurement_mismatches;
