@@ -46,6 +46,12 @@ struct ExprRoundTripCase {
   uint64_t expect;
 };
 
+// Without a printer gtest dumps the raw bytes, text pointer included, and the
+// ctest names built from that dump change with every address-space layout.
+void PrintTo(const ExprRoundTripCase& c, std::ostream* os) {
+  *os << c.text << " with x=" << c.x;
+}
+
 class ExprRoundTripTest : public ::testing::TestWithParam<ExprRoundTripCase> {};
 
 TEST_P(ExprRoundTripTest, ParsePrintEvalAgree) {
