@@ -169,10 +169,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.counter("replay.template_hit").value()),
                 static_cast<unsigned long long>(m.counter("replay.template_miss").value()),
                 static_cast<unsigned long long>(m.counter("replay.soft_resets").value()));
-    std::printf("select cache hits=%llu misses=%llu evictions=%llu\n",
-                static_cast<unsigned long long>(m.counter("replay.select_cache.hit").value()),
-                static_cast<unsigned long long>(m.counter("replay.select_cache.miss").value()),
-                static_cast<unsigned long long>(m.counter("replay.select_cache.evict").value()));
+    std::printf("selection index probes=%llu\n",
+                static_cast<unsigned long long>(m.counter("replay.select_index.probe").value()));
     std::printf("compile cache hits=%llu misses=%llu evictions=%llu\n",
                 static_cast<unsigned long long>(m.counter("replay.compile_cache.hit").value()),
                 static_cast<unsigned long long>(m.counter("replay.compile_cache.miss").value()),

@@ -232,9 +232,9 @@ ConfigResult FleetRun(size_t shards, uint64_t pace_us, const std::vector<Op>& op
 
   fleet.Start();
   auto t0 = std::chrono::steady_clock::now();
-  // Submit the same global order; kBusy = bounded queue full, retry while the
-  // pool drains. Per-client submission order is preserved, which is all the
-  // determinism argument needs.
+  // Enqueue the same global order, one command per dispatch unit; kBusy =
+  // bounded queue full, retry while the pool drains. Per-client submission
+  // order is preserved, which is all the determinism argument needs.
   std::vector<std::unique_ptr<OpState>> states;
   states.reserve(ops.size());
   std::vector<std::vector<size_t>> per_client(clients.size());
@@ -247,8 +247,10 @@ ConfigResult FleetRun(size_t shards, uint64_t pace_us, const std::vector<Op>& op
     ReplayArgs args = op.is_camera ? CameraOpArgs(&st->buf, &st->img_size)
                                    : BlockOpArgs(cs, op, &st->buf);
     for (;;) {
+      std::vector<RingCmd> one;
+      one.push_back(RingCmd{cs.entry, args});
       Result<uint64_t> req =
-          fleet.Submit(sids[static_cast<size_t>(op.client)], cs.entry, args);
+          fleet.SubmitBatch(sids[static_cast<size_t>(op.client)], std::move(one));
       if (req.ok()) {
         st->request = *req;
         break;
@@ -270,7 +272,7 @@ ConfigResult FleetRun(size_t shards, uint64_t pace_us, const std::vector<Op>& op
   for (size_t c = 0; c < clients.size(); ++c) {
     for (size_t idx : per_client[c]) {
       OpState& st = *states[idx];
-      if (!fleet.WaitCompletion(st.request).ok()) {
+      if (!fleet.WaitBatchCompletion(st.request).front().ok()) {
         ++failures;
         continue;
       }

@@ -106,9 +106,6 @@ class Compiler {
   }
 
   Result<std::shared_ptr<const CompiledProgram>> Build() {
-    prog_->initial_atom_begin = 0;
-    DLT_RETURN_IF_ERROR(AddAtoms(tpl_->initial, &prog_->initial_atom_begin,
-                                 &prog_->initial_atom_end));
     DLT_RETURN_IF_ERROR(CompileSeq(tpl_->events));
     prog_->main_end = MainEnd();
     if (slots_.size() > kNoSlot) {
@@ -484,24 +481,6 @@ Result<bool> CompiledProgram::EvalAtoms(uint32_t begin, uint32_t end, const uint
     }
   }
   return true;
-}
-
-Result<bool> CompiledProgram::EvalInitial(const Bindings& scalars) const {
-  constexpr size_t kInline = 64;
-  uint64_t sbuf[kInline];
-  uint8_t bbuf[kInline] = {};
-  std::vector<uint64_t> hs;
-  std::vector<uint8_t> hb;
-  uint64_t* slots = sbuf;
-  uint8_t* bound = bbuf;
-  if (slot_count > kInline) {
-    hs.resize(slot_count);
-    hb.assign(slot_count, 0);
-    slots = hs.data();
-    bound = hb.data();
-  }
-  LoadScalars(scalars, slots, bound);
-  return EvalAtoms(initial_atom_begin, initial_atom_end, slots, bound);
 }
 
 uint64_t CompiledProgram::StaticCompiledNs() const {

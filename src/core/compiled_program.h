@@ -145,15 +145,13 @@ class CompiledProgram {
   std::vector<CompiledAtom> atoms;
   std::vector<ExprStep> steps;
   std::vector<SrcEvent> src;
-  // Every slot name paired with its slot id, sorted by name: Run and
-  // EvalInitial merge-join this against the invoke's (sorted) scalar map, so
-  // programs are independent of which scalar signature selected them.
+  // Every slot name paired with its slot id, sorted by name: Run merge-joins
+  // this against the invoke's (sorted) scalar map, so programs are
+  // independent of which scalar signature selected them.
   std::vector<std::pair<std::string, uint16_t>> scalar_loads;
   std::vector<std::string> buffer_names;
   uint32_t main_end = 0;  // ops[0, main_end) is the top-level sequence
   uint16_t slot_count = 0;
-  uint32_t initial_atom_begin = 0;  // template initial constraint, specialized
-  uint32_t initial_atom_end = 0;
   uint32_t source_events = 0;  // events covered, poll bodies counted once
 
   // Loads |scalars| into the slot arrays (callers provide slot_count-sized
@@ -170,10 +168,6 @@ class CompiledProgram {
   // semantics: in order, first false short-circuits, first error propagates.
   Result<bool> EvalAtoms(uint32_t begin, uint32_t end, const uint64_t* slots,
                          const uint8_t* bound) const;
-
-  // Evaluates the specialized initial constraint against invoke scalars only —
-  // the compiled selection check. Same result as source->initial.Eval(scalars).
-  Result<bool> EvalInitial(const Bindings& scalars) const;
 
   // Static cost-model totals (poll iterations excluded from both).
   uint64_t StaticInterpNs() const { return uint64_t{source_events} * kReplayInterpEventNs; }

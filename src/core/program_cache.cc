@@ -11,7 +11,9 @@ namespace dlt {
 namespace {
 
 constexpr uint32_t kMagic = 0x43544c44;  // "DLTC"
-constexpr uint8_t kVersion = 1;
+// Version 2 dropped the initial-constraint atom range from the header; a
+// version-1 file is a miss, never misparsed.
+constexpr uint8_t kVersion = 2;
 
 void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
   while (v >= 0x80) {
@@ -190,9 +192,6 @@ bool ProgramValid(const CompiledProgram& p) {
   if (p.main_end > p.ops.size()) {
     return false;
   }
-  if (p.initial_atom_begin > p.initial_atom_end || p.initial_atom_end > p.atoms.size()) {
-    return false;
-  }
   return true;
 }
 
@@ -216,8 +215,6 @@ Result<std::vector<uint8_t>> SerializeProgram(const CompiledProgram& p) {
   PutVarint(p.buffer_names.size(), &out);
   PutVarint(p.main_end, &out);
   PutVarint(p.slot_count, &out);
-  PutVarint(p.initial_atom_begin, &out);
-  PutVarint(p.initial_atom_end, &out);
   PutVarint(p.source_events, &out);
 
   for (const ExprStep& s : p.steps) {
@@ -309,10 +306,6 @@ Result<std::shared_ptr<const CompiledProgram>> DeserializeProgram(const uint8_t*
   p.main_end = static_cast<uint32_t>(main_end);
   DLT_ASSIGN_OR_RETURN(uint64_t slot_count, r.Varint());
   p.slot_count = static_cast<uint16_t>(slot_count);
-  DLT_ASSIGN_OR_RETURN(uint64_t ia_begin, r.Varint());
-  p.initial_atom_begin = static_cast<uint32_t>(ia_begin);
-  DLT_ASSIGN_OR_RETURN(uint64_t ia_end, r.Varint());
-  p.initial_atom_end = static_cast<uint32_t>(ia_end);
   DLT_ASSIGN_OR_RETURN(uint64_t sev, r.Varint());
   p.source_events = static_cast<uint32_t>(sev);
 

@@ -1,7 +1,6 @@
 #include "src/core/template_store.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "src/core/program_cache.h"
@@ -185,13 +184,13 @@ Status TemplateStore::AddPackageInternal(const DriverletPackage* eager,
   }
 
   // Publish. Readers that pinned the old population keep using it; it stays
-  // alive in |epochs|. This view's caches flush eagerly, other views notice
-  // the generation change on their next SelectCompiled.
+  // alive in |epochs|. This view's compile cache flushes eagerly, other views
+  // notice the generation change on their next SelectCompiled.
   shared_->pop.store(next.get(), std::memory_order_release);
   shared_->epochs.push_back(std::move(next));
   {
     std::lock_guard<std::mutex> cache(cache_mu_);
-    FlushCachesLocked();
+    FlushCacheLocked();
     cache_pop_ = population();
   }
   return Status::kOk;
@@ -350,22 +349,19 @@ Status TemplateStore::EnsureHydrated(const Candidate& c) const {
 }
 
 Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
-    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-    std::vector<const InteractionTemplate*>* rejected, bool use_index) const {
-  const Population* pop = population();
-  if (pop == nullptr) {
-    return Status::kNoTemplate;
-  }
+    const Population& pop, std::string_view driverlet, std::string_view entry,
+    const Bindings& scalars, std::vector<const InteractionTemplate*>* rejected,
+    bool use_index) const {
   const EntrySlot* single = nullptr;
   const std::vector<const EntrySlot*>* many = nullptr;
   if (!driverlet.empty()) {
-    single = FindSlot(*pop, driverlet, entry);
+    single = FindSlot(pop, driverlet, entry);
     if (single == nullptr) {
       return Status::kNoTemplate;
     }
   } else {
-    auto it = pop->by_entry.find(entry);
-    if (it == pop->by_entry.end() || it->second.empty()) {
+    auto it = pop.by_entry.find(entry);
+    if (it == pop.by_entry.end() || it->second.empty()) {
       return Status::kNoTemplate;
     }
     many = &it->second;
@@ -445,13 +441,15 @@ Result<const InteractionTemplate*> TemplateStore::Select(
   return sel.tpl;
 }
 
-Result<TemplateStore::CompiledSelection> TemplateStore::SelectInterpreted(
-    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-    std::vector<const InteractionTemplate*>* rejected) const {
-  // Rejected-candidate reporting needs the full scan: index-pruned candidates
-  // never evaluate, so the subset cannot reproduce the report.
-  DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
-                                                           /*use_index=*/rejected == nullptr));
+Result<TemplateStore::CompiledSelection> TemplateStore::SelectHydrated(
+    const Population* pop, std::string_view driverlet, std::string_view entry,
+    const Bindings& scalars, std::vector<const InteractionTemplate*>* rejected,
+    bool use_index) const {
+  if (pop == nullptr) {
+    return Status::kNoTemplate;
+  }
+  DLT_ASSIGN_OR_RETURN(const Candidate* c,
+                       SelectCandidate(*pop, driverlet, entry, scalars, rejected, use_index));
   DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
   CompiledSelection out;
   out.tpl = c->tpl;
@@ -459,28 +457,32 @@ Result<TemplateStore::CompiledSelection> TemplateStore::SelectInterpreted(
   return out;
 }
 
+Result<TemplateStore::CompiledSelection> TemplateStore::SelectInterpreted(
+    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
+    std::vector<const InteractionTemplate*>* rejected) const {
+  // Rejected-candidate reporting needs the full scan: index-pruned candidates
+  // never evaluate, so the subset cannot reproduce the report.
+  return SelectHydrated(population(), driverlet, entry, scalars, rejected,
+                        /*use_index=*/rejected == nullptr);
+}
+
 Result<const InteractionTemplate*> TemplateStore::SelectLinear(
     std::string_view driverlet, std::string_view entry, const Bindings& scalars,
     std::vector<const InteractionTemplate*>* rejected) const {
-  DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
-                                                           /*use_index=*/false));
-  DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
-  return c->tpl;
+  DLT_ASSIGN_OR_RETURN(CompiledSelection sel,
+                       SelectHydrated(population(), driverlet, entry, scalars, rejected,
+                                      /*use_index=*/false));
+  return sel.tpl;
 }
 
-void TemplateStore::FlushCachesLocked() const {
+void TemplateStore::FlushCacheLocked() const {
   // A population swap retires every cached template pointer at once: the
-  // copy-on-write rebuild gives all templates fresh addresses, so both caches
-  // drop whole (the old granularity — per-replaced-driverlet compile
-  // eviction — predates sharing).
+  // copy-on-write rebuild gives all templates fresh addresses, so the cache
+  // drops whole.
   for (size_t i = 0; i < compile_cache_.size(); ++i) {
     CountCache(&compile_cache_evictions_, "replay.compile_cache.evict");
   }
   compile_cache_.clear();
-  for (size_t i = 0; i < select_cache_.size(); ++i) {
-    CountCache(&select_cache_evictions_, "replay.select_cache.evict");
-  }
-  select_cache_.clear();
 }
 
 std::shared_ptr<const CompiledProgram> TemplateStore::ProgramFor(
@@ -520,172 +522,22 @@ std::shared_ptr<const CompiledProgram> TemplateStore::ProgramFor(
 Result<TemplateStore::CompiledSelection> TemplateStore::SelectCompiled(
     std::string_view driverlet, std::string_view entry, const Bindings& scalars,
     std::vector<const InteractionTemplate*>* rejected) const {
+  // One pinned snapshot for the whole call: the winner, its golden cache and
+  // the compile-cache generation all come from |pop|.
   const Population* pop = population();
-  if (pop == nullptr) {
-    return Status::kNoTemplate;
-  }
+  DLT_ASSIGN_OR_RETURN(CompiledSelection out,
+                       SelectHydrated(pop, driverlet, entry, scalars, rejected,
+                                      /*use_index=*/rejected == nullptr));
   std::lock_guard<std::mutex> cache(cache_mu_);
-  // RCU reader resync: another view republished the population since this
-  // view's caches were built — every cached pointer refers to the retired
-  // snapshot, so start over against the current one.
+  // RCU reader resync: the population was republished since this view's
+  // compile cache was built — every cached key is a retired template, so start
+  // over against the snapshot this call pinned.
   if (cache_pop_ != pop) {
-    FlushCachesLocked();
+    FlushCacheLocked();
     cache_pop_ = pop;
   }
-
-  // Constraint-indexed fast path: probe the slot's decision structure and
-  // touch only the surviving candidates — then hydrate + compile the winner
-  // alone. The signature cache is bypassed: at scale, materializing the
-  // param-filtered candidate list (and compiling all of it) per signature is
-  // exactly the cold-start cliff the index removes.
-  if (rejected == nullptr && !driverlet.empty()) {
-    const EntrySlot* slot = FindSlot(*pop, driverlet, entry);
-    if (slot == nullptr) {
-      return Status::kNoTemplate;
-    }
-    if (slot->indexed) {
-      DLT_ASSIGN_OR_RETURN(const Candidate* c,
-                           SelectCandidate(driverlet, entry, scalars, nullptr,
-                                           /*use_index=*/true));
-      DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
-      CompiledSelection out;
-      out.tpl = c->tpl;
-      out.program = ProgramFor(c->tpl);
-      out.golden = c->golden;
-      return out;
-    }
-  }
-
-  // Cache key: (driverlet, entry, scalar-name signature). Values are excluded
-  // on purpose — initial constraints gate on them, so they are evaluated per
-  // invoke against the cached candidate list instead. The hit path builds the
-  // key on the stack and looks it up via the map's transparent comparator: no
-  // allocation per invoke (keys longer than the stack buffer — pathological
-  // signatures — fall back to one heap build).
-  char stack_key[192];
-  size_t key_len = 0;
-  auto append = [&](std::string_view s) {
-    if (key_len + s.size() <= sizeof(stack_key)) {
-      std::memcpy(stack_key + key_len, s.data(), s.size());
-    }
-    key_len += s.size();
-  };
-  append(driverlet);
-  append(std::string_view("\x1e", 1));
-  append(entry);
-  append(std::string_view("\x1e", 1));
-  for (const auto& [name, value] : scalars) {
-    append(name);
-    append(std::string_view("\x1f", 1));
-  }
-  std::string heap_key;
-  std::string_view key;
-  if (key_len <= sizeof(stack_key)) {
-    key = std::string_view(stack_key, key_len);
-  } else {
-    heap_key.reserve(key_len);
-    heap_key.append(driverlet);
-    heap_key.push_back('\x1e');
-    heap_key.append(entry);
-    heap_key.push_back('\x1e');
-    for (const auto& [name, value] : scalars) {
-      heap_key.append(name);
-      heap_key.push_back('\x1f');
-    }
-    key = heap_key;
-  }
-
-  const std::vector<CompiledSelection>* cands = nullptr;
-  auto hit = select_cache_.find(key);
-  if (hit != select_cache_.end()) {
-    CountCache(&select_cache_hits_, "replay.select_cache.hit");
-    hit->second.tick = ++select_cache_tick_;
-    cands = &hit->second.candidates;
-  } else {
-    CountCache(&select_cache_misses_, "replay.select_cache.miss");
-    // Build the param-filtered candidate list the way Select walks the index.
-    const EntrySlot* single = nullptr;
-    const std::vector<const EntrySlot*>* many = nullptr;
-    if (!driverlet.empty()) {
-      single = FindSlot(*pop, driverlet, entry);
-      if (single == nullptr) {
-        return Status::kNoTemplate;
-      }
-    } else {
-      auto it = pop->by_entry.find(entry);
-      if (it == pop->by_entry.end() || it->second.empty()) {
-        return Status::kNoTemplate;
-      }
-      many = &it->second;
-    }
-    SelectCacheEntry fresh;
-    size_t slot_count = single != nullptr ? 1 : many->size();
-    for (size_t si = 0; si < slot_count; ++si) {
-      const EntrySlot* slot = single != nullptr ? single : (*many)[si];
-      for (const Candidate& c : slot->candidates) {
-        bool have_all = true;
-        for (const std::string& p : c.scalar_params) {
-          if (scalars.find(p) == scalars.end()) {
-            have_all = false;
-            break;
-          }
-        }
-        if (!have_all) {
-          continue;
-        }
-        // Compiling needs the event body; kCorrupt here means the mapped file
-        // decayed under us after its signature check (effectively unreachable:
-        // bodies were bounds-checked at Parse).
-        DLT_RETURN_IF_ERROR(EnsureHydrated(c));
-        fresh.candidates.push_back(CompiledSelection{c.tpl, ProgramFor(c.tpl), c.golden});
-      }
-    }
-    if (select_cache_.size() >= kSelectCacheCapacity) {
-      auto victim = select_cache_.begin();
-      for (auto it = select_cache_.begin(); it != select_cache_.end(); ++it) {
-        if (it->second.tick < victim->second.tick) {
-          victim = it;
-        }
-      }
-      select_cache_.erase(victim);
-      CountCache(&select_cache_evictions_, "replay.select_cache.evict");
-    }
-    fresh.tick = ++select_cache_tick_;
-    auto [ins, inserted] = select_cache_.emplace(std::string(key), std::move(fresh));
-    cands = &ins->second.candidates;
-  }
-
-  // Per-invoke value gate, same semantics as Select: evaluation errors skip
-  // the candidate, false goes to |rejected|, the first match wins and later
-  // matches only produce the ambiguity warning. The compiled initial check
-  // runs when a program exists; fallback templates use the tree evaluator.
-  CompiledSelection selected;
-  uint64_t scanned = 0;
-  for (const CompiledSelection& c : *cands) {
-    ++scanned;
-    Result<bool> ok = c.program != nullptr ? c.program->EvalInitial(scalars)
-                                           : c.tpl->initial.Eval(scalars);
-    if (!ok.ok()) {
-      continue;  // constraint over non-initial symbols cannot gate selection
-    }
-    if (!*ok) {
-      if (rejected != nullptr) {
-        rejected->push_back(c.tpl);
-      }
-      continue;
-    }
-    if (selected.tpl != nullptr) {
-      DLT_LOG(kWarn) << "template selection ambiguous: " << selected.tpl->name << " vs "
-                     << c.tpl->name;
-      continue;
-    }
-    selected = c;
-  }
-  shared_->candidates_scanned.fetch_add(scanned, std::memory_order_relaxed);
-  if (selected.tpl == nullptr) {
-    return Status::kNoTemplate;
-  }
-  return selected;
+  out.program = ProgramFor(out.tpl);
+  return out;
 }
 
 }  // namespace dlt

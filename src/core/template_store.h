@@ -36,10 +36,10 @@
 //
 // A store created with the default constructor owns its population. Shards of
 // a replay fleet call NewShardView() instead: every view shares the same
-// population (and candidates_scanned aggregate) but keeps its *own* selection
-// and compile caches — the mutable hot-path state — so concurrent shards never
-// contend on a cache lock. A view that observes a population swap lazily
-// flushes its caches on the next SelectCompiled.
+// population (and candidates_scanned aggregate) but keeps its *own* compile
+// cache — the mutable hot-path state — so concurrent shards never contend on a
+// cache lock. A view that observes a population swap lazily flushes its cache
+// on the next SelectCompiled.
 #ifndef SRC_CORE_TEMPLATE_STORE_H_
 #define SRC_CORE_TEMPLATE_STORE_H_
 
@@ -89,9 +89,9 @@ class TemplateStore {
 
   TemplateStore();
 
-  // A facade over the same shared population with fresh per-shard caches.
-  // Packages registered through any view (or the origin) become visible to
-  // all of them; cache counters and cache contents stay per-view. The origin
+  // A facade over the same shared population with a fresh per-shard compile
+  // cache. Packages registered through any view (or the origin) become visible
+  // to all of them; cache counters and cache contents stay per-view. The origin
   // store must outlive nothing in particular — views keep the shared state
   // alive on their own.
   std::unique_ptr<TemplateStore> NewShardView() const;
@@ -191,39 +191,22 @@ class TemplateStore {
   // Entry slots carrying a discriminating constraint index.
   size_t indexed_slot_count() const;
 
-  // Select + compile with two caches in front (docs/replay_compiler.md):
-  //  - a per-(driverlet, entry, scalar-name signature) selection cache holding
-  //    the param-filtered candidate list with programs attached, so repeat
-  //    invokes skip the index walk, the param-subset filter and all compile
-  //    lookups. Initial constraints are still evaluated per invoke — selection
-  //    depends on scalar *values*, which are deliberately not part of the key.
-  //  - a per-template compile cache (programs are immutable per load), which
-  //    also remembers failed compiles as interpreter-fallback markers, and is
-  //    optionally backed by the on-disk program cache (set_compile_cache_dir).
-  // Constraint-indexed slots take a faster route when no rejected report is
-  // requested: probe the index, evaluate the handful of survivors, hydrate and
-  // compile only the winner — the signature cache is skipped because probing
-  // is already cheaper than its lookup would be at scale, and materializing a
-  // 100k-candidate compiled list per signature is exactly the cold-start cost
-  // this store exists to avoid.
-  // Semantics match Select exactly, including rejected reporting, ambiguity
-  // warnings and candidates_scanned accounting. Both caches belong to this
-  // view only and are guarded by a per-view mutex (uncontended when each
-  // fleet shard drives its own view).
+  // Select + compile (docs/replay_compiler.md): the winner comes from the same
+  // selection loop as Select — the index probe, or the full scan when a
+  // rejected report is requested — and only the winner is hydrated and
+  // compiled. Programs come from a per-template compile cache (programs are
+  // immutable per load), which also remembers failed compiles as
+  // interpreter-fallback markers and is optionally backed by the on-disk
+  // program cache (set_compile_cache_dir). The cache belongs to this view only
+  // and is guarded by a per-view mutex (uncontended when each fleet shard
+  // drives its own view).
   Result<CompiledSelection> SelectCompiled(
       std::string_view driverlet, std::string_view entry, const Bindings& scalars,
       std::vector<const InteractionTemplate*>* rejected = nullptr) const;
 
-  // Cache observability (also exported as replay.select_cache.* /
-  // replay.compile_cache.* telemetry counters when tracing is armed).
-  // Per-view: a fleet sums these over its shards.
-  uint64_t select_cache_hits() const { return select_cache_hits_.load(std::memory_order_relaxed); }
-  uint64_t select_cache_misses() const {
-    return select_cache_misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t select_cache_evictions() const {
-    return select_cache_evictions_.load(std::memory_order_relaxed);
-  }
+  // Compile-cache observability (also exported as replay.compile_cache.*
+  // telemetry counters when tracing is armed). Per-view: a fleet sums these
+  // over its shards.
   uint64_t compile_cache_hits() const {
     return compile_cache_hits_.load(std::memory_order_relaxed);
   }
@@ -289,8 +272,8 @@ class TemplateStore {
     // RCU publish pointer; readers load it once per call, lock-free.
     std::atomic<const Population*> pop{nullptr};
     // Every population ever published, newest last. Retired snapshots are kept
-    // alive so template pointers pinned by readers (or sitting in per-view
-    // caches that have not resynced yet) never dangle. Registration is rare —
+    // alive so template pointers pinned by readers (or sitting in a per-view
+    // compile cache that has not resynced yet) never dangle. Registration is rare —
     // this grows by one small snapshot per AddPackage call.
     std::vector<std::unique_ptr<const Population>> epochs;
     std::atomic<uint64_t> candidates_scanned{0};
@@ -302,12 +285,6 @@ class TemplateStore {
     std::string compile_cache_dir;
   };
 
-  struct SelectCacheEntry {
-    // The param-filtered candidates, each with its program attached.
-    std::vector<CompiledSelection> candidates;
-    uint64_t tick = 0;  // LRU stamp
-  };
-
   explicit TemplateStore(std::shared_ptr<Shared> shared);
 
   const Population* population() const {
@@ -315,13 +292,22 @@ class TemplateStore {
   }
   static const EntrySlot* FindSlot(const Population& pop, std::string_view driverlet,
                                    std::string_view entry);
-  // The one selection loop: resolves slots, walks either the index probe set
-  // (use_index, for slots that have one) or the full candidate list, applies
-  // the param check / Eval / first-match-wins / ambiguity-warning protocol,
-  // and returns the winning candidate (kNoTemplate when none).
+  // The one selection loop: resolves slots in |pop| — the snapshot the caller
+  // pinned, so the winner and everything derived from it come from one
+  // population — walks either the index probe set (use_index, for slots that
+  // have one) or the full candidate list, applies the param check / Eval /
+  // first-match-wins / ambiguity-warning protocol, and returns the winning
+  // candidate (kNoTemplate when none).
   Result<const Candidate*> SelectCandidate(
-      std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-      std::vector<const InteractionTemplate*>* rejected, bool use_index) const;
+      const Population& pop, std::string_view driverlet, std::string_view entry,
+      const Bindings& scalars, std::vector<const InteractionTemplate*>* rejected,
+      bool use_index) const;
+  // SelectCandidate on the pinned |pop| (kNoTemplate when null), then hydrates
+  // the winner: the selection without a program.
+  Result<CompiledSelection> SelectHydrated(
+      const Population* pop, std::string_view driverlet, std::string_view entry,
+      const Bindings& scalars, std::vector<const InteractionTemplate*>* rejected,
+      bool use_index) const;
   // Parses a lazy template's event body on first use (no-op for eager ones).
   Status EnsureHydrated(const Candidate& c) const;
   // Registration core: exactly one of |eager| / |mapped| is set.
@@ -330,24 +316,18 @@ class TemplateStore {
   // Compile-cache lookup; remembers failures as null programs, consults the
   // disk cache when configured. cache_mu_ held; |tpl| must be hydrated.
   std::shared_ptr<const CompiledProgram> ProgramFor(const InteractionTemplate* tpl) const;
-  // Drops both caches, counting evictions. cache_mu_ held.
-  void FlushCachesLocked() const;
+  // Drops the compile cache, counting evictions. cache_mu_ held.
+  void FlushCacheLocked() const;
 
   std::shared_ptr<Shared> shared_;
 
-  // Per-view mutable state: the selection/compile caches and the population
-  // generation they were built against. Guarded by cache_mu_ — uncontended in
-  // the fleet (one shard, one view, one executing thread at a time).
-  static constexpr size_t kSelectCacheCapacity = 128;
+  // Per-view mutable state: the compile cache and the population generation
+  // it was built against. Guarded by cache_mu_ — uncontended in the fleet (one
+  // shard, one view, one executing thread at a time).
   mutable std::mutex cache_mu_;
   mutable const Population* cache_pop_ = nullptr;
   mutable std::map<const InteractionTemplate*, std::shared_ptr<const CompiledProgram>>
       compile_cache_;
-  mutable std::map<std::string, SelectCacheEntry, std::less<>> select_cache_;
-  mutable uint64_t select_cache_tick_ = 0;
-  mutable std::atomic<uint64_t> select_cache_hits_{0};
-  mutable std::atomic<uint64_t> select_cache_misses_{0};
-  mutable std::atomic<uint64_t> select_cache_evictions_{0};
   mutable std::atomic<uint64_t> compile_cache_hits_{0};
   mutable std::atomic<uint64_t> compile_cache_misses_{0};
   mutable std::atomic<uint64_t> compile_cache_evictions_{0};

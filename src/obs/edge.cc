@@ -30,14 +30,13 @@ const char* EdgeName(size_t index) {
       "service.close",            "service.invoke_ok",
       "service.invoke_fail",      "service.quarantine",
       "service.integrity_quarantine", "service.quarantine_reject",
-      "service.measurement_mismatch", "service.queue_submit",
-      "service.queue_reject",     "service.queue_drain",
-      "service.batch",            "service.session_gone",
-      "ring.push",                "ring.full",
-      "ring.wrap",                "ring.doorbell",
-      "ring.empty_doorbell",      "ring.pop",
-      "ring.pop_empty",           "compiled.bulk_fast",
-      "compiled.bulk_exact",      "compiled.poll_iter",
+      "service.measurement_mismatch", "service.batch",
+      "service.session_gone",     "ring.push",
+      "ring.full",                "ring.wrap",
+      "ring.doorbell",            "ring.empty_doorbell",
+      "ring.pop",                 "ring.pop_empty",
+      "compiled.bulk_fast",       "compiled.bulk_exact",
+      "compiled.poll_iter",
   };
   static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
                 static_cast<size_t>(Edge::kNamedCount));

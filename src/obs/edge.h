@@ -31,9 +31,6 @@ enum class Edge : uint32_t {
   kServiceIntegrityQuarantine,
   kServiceQuarantineReject,
   kServiceMeasurementMismatch,
-  kServiceQueueSubmit,
-  kServiceQueueReject,
-  kServiceQueueDrain,
   kServiceBatch,
   kServiceSessionGone,
   // InvocationRing.

@@ -59,7 +59,10 @@ uint64_t Histogram::Percentile(double p) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += bucket(i);
     if (seen >= rank) {
-      return i == 0 ? 0 : (1ull << i) - 1;  // inclusive upper bound of bucket i
+      // Inclusive upper bound of bucket i, clamped to the recorded range: a
+      // bucket ceiling can lie far above every sample it holds.
+      uint64_t ceiling = i == 0 ? 0 : (1ull << i) - 1;
+      return std::max(std::min(ceiling, max()), min());
     }
   }
   return max();

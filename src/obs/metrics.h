@@ -72,7 +72,8 @@ class Histogram {
   uint64_t min() const;  // 0 when empty
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
-  // Upper bound of the bucket holding the p-th percentile sample (0 < p <= 100).
+  // Upper bound of the bucket holding the p-th percentile sample (0 < p <= 100),
+  // clamped to [min(), max()].
   uint64_t Percentile(double p) const;
   uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
 

@@ -165,13 +165,6 @@ Status ReplayFleet::CloseSession(FleetSessionId id) {
   return st;
 }
 
-Result<uint64_t> ReplayFleet::Submit(FleetSessionId id, std::string entry, ReplayArgs args) {
-  std::vector<RingCmd> one(1);
-  one[0].entry = std::move(entry);
-  one[0].args = std::move(args);
-  return SubmitBatch(id, std::move(one));
-}
-
 Result<uint64_t> ReplayFleet::SubmitBatch(FleetSessionId id, std::vector<RingCmd> cmds) {
   if (cmds.empty()) {
     return Status::kInvalidArg;  // an empty doorbell never reaches the fleet
@@ -207,22 +200,6 @@ Result<uint64_t> ReplayFleet::SubmitBatch(FleetSessionId id, std::vector<RingCmd
   return request_id;
 }
 
-Result<ReplayStats> ReplayFleet::TakeCompletion(uint64_t request_id) {
-  std::lock_guard<std::mutex> lk(comp_mu_);
-  auto it = completions_.find(request_id);
-  if (it == completions_.end()) {
-    return Status::kNotFound;
-  }
-  if (it->second.size() != 1) {
-    // Batch request: per-command results don't collapse into one. Leave the
-    // completion collectable via TakeBatchCompletion.
-    return Status::kInvalidArg;
-  }
-  Result<ReplayStats> r = std::move(it->second.front());
-  completions_.erase(it);
-  return r;
-}
-
 Result<std::vector<Result<ReplayStats>>> ReplayFleet::TakeBatchCompletion(uint64_t request_id) {
   std::lock_guard<std::mutex> lk(comp_mu_);
   auto it = completions_.find(request_id);
@@ -230,18 +207,6 @@ Result<std::vector<Result<ReplayStats>>> ReplayFleet::TakeBatchCompletion(uint64
     return Status::kNotFound;
   }
   std::vector<Result<ReplayStats>> r = std::move(it->second);
-  completions_.erase(it);
-  return r;
-}
-
-Result<ReplayStats> ReplayFleet::WaitCompletion(uint64_t request_id) {
-  std::unique_lock<std::mutex> lk(comp_mu_);
-  comp_cv_.wait(lk, [&] { return completions_.find(request_id) != completions_.end(); });
-  auto it = completions_.find(request_id);
-  if (it->second.size() != 1) {
-    return Status::kInvalidArg;  // see TakeCompletion
-  }
-  Result<ReplayStats> r = std::move(it->second.front());
   completions_.erase(it);
   return r;
 }
@@ -258,8 +223,11 @@ std::vector<Result<ReplayStats>> ReplayFleet::WaitBatchCompletion(uint64_t reque
 Result<ReplayStats> ReplayFleet::Invoke(FleetSessionId id, std::string_view entry,
                                         const ReplayArgs& args) {
   if (running()) {
-    DLT_ASSIGN_OR_RETURN(uint64_t req, Submit(id, std::string(entry), args));
-    return WaitCompletion(req);
+    std::vector<RingCmd> one(1);
+    one[0].entry = std::string(entry);
+    one[0].args = args;
+    DLT_ASSIGN_OR_RETURN(uint64_t req, SubmitBatch(id, std::move(one)));
+    return std::move(WaitBatchCompletion(req).front());
   }
   // Stopped-pool path: execute directly on the caller's thread, same locking
   // discipline as a worker (single-threaded tests never spin up the pool).

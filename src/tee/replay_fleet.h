@@ -8,7 +8,7 @@
 //
 // Dispatch model:
 //   - a fixed pool of T worker threads; shard s is *homed* on worker s % T;
-//   - per-shard bounded FIFO run queues (Submit returns kBusy when the
+//   - per-shard bounded FIFO run queues (SubmitBatch returns kBusy when the
 //     session's home-shard queue is full — explicit backpressure, no blocking);
 //   - sessions are pinned to a home shard at OpenSession (least-loaded, or
 //     explicit via OpenSessionOn), so a session's invokes always execute
@@ -83,7 +83,7 @@ struct ShardStats {
   uint64_t submitted = 0;
   uint64_t executed = 0;      // commands completed on this shard (home + stolen)
   uint64_t stolen = 0;        // of executed, how many a non-home worker ran
-  uint64_t busy_rejects = 0;  // Submit attempts bounced off a full queue
+  uint64_t busy_rejects = 0;  // SubmitBatch attempts bounced off a full queue
   size_t queue_depth = 0;     // instantaneous, in queue slots (batches)
   size_t open_sessions = 0;   // instantaneous
 };
@@ -116,9 +116,9 @@ class ReplayFleet {
   Result<std::string> RegisterDriverletFile(const std::string& path);
 
   // ---- Worker pool lifecycle ----
-  // Start launches the worker threads; before Start (or after Stop), Submit
-  // still queues and Invoke/ProcessQueuedInline execute on the caller's
-  // thread — useful for single-threaded deterministic tests.
+  // Start launches the worker threads; before Start (or after Stop),
+  // SubmitBatch still queues and Invoke/ProcessQueuedInline execute on the
+  // caller's thread — useful for single-threaded deterministic tests.
   void Start();
   // Joins the pool. Requests still queued complete as kAborted (their
   // completions stay collectable), so no submitter is left waiting forever.
@@ -133,27 +133,21 @@ class ReplayFleet {
   Status CloseSession(FleetSessionId id);
 
   // ---- Invocation ----
-  // Enqueues onto the session's home shard; kBusy when that queue is full.
-  // Buffer views inside |args| are borrowed until the completion is taken.
-  Result<uint64_t> Submit(FleetSessionId id, std::string entry, ReplayArgs args);
   // Enqueues a whole ring batch as ONE dispatch unit: the vector occupies a
   // single queue slot on the session's home shard, never splits across
   // shards, and executes as one InvokeBatch (two world switches for the
   // batch). kBusy when the home queue is full; kInvalidArg for an empty
-  // batch. Collect results with Take/WaitBatchCompletion.
+  // batch. Buffer views inside the commands are borrowed until the
+  // completion is taken. Returns the request id.
   Result<uint64_t> SubmitBatch(FleetSessionId id, std::vector<RingCmd> cmds);
-  // Non-blocking completion pickup; kNotFound while still queued/running.
-  // For a SubmitBatch request of more than one command this returns
-  // kInvalidArg (and leaves the completion collectable) — use
-  // TakeBatchCompletion for positional per-command results.
-  Result<ReplayStats> TakeCompletion(uint64_t request_id);
+  // Non-blocking pickup of a batch's positional per-command results;
+  // kNotFound while still queued/running. Each completion is taken once.
   Result<std::vector<Result<ReplayStats>>> TakeBatchCompletion(uint64_t request_id);
-  // Blocks until the request completes (requires a running pool or a
-  // concurrent ProcessQueuedInline caller), then takes the completion.
-  Result<ReplayStats> WaitCompletion(uint64_t request_id);
+  // Blocks until the batch completes (requires a running pool or a
+  // concurrent ProcessQueuedInline caller), then takes its results.
   std::vector<Result<ReplayStats>> WaitBatchCompletion(uint64_t request_id);
-  // Submit + WaitCompletion when the pool runs; direct inline execution on
-  // the caller's thread otherwise.
+  // A batch of 1 through SubmitBatch + WaitBatchCompletion when the pool
+  // runs; direct inline execution on the caller's thread otherwise.
   Result<ReplayStats> Invoke(FleetSessionId id, std::string_view entry,
                              const ReplayArgs& args);
   // Drains up to |max_requests| queued invokes on the caller's thread (home
@@ -227,7 +221,7 @@ class ReplayFleet {
   std::condition_variable wake_cv_;
 
   // Completion table shared by all shards, keyed by fleet request id; one
-  // vector per dispatch unit (size 1 for plain Submit).
+  // vector per dispatch unit.
   mutable std::mutex comp_mu_;
   std::condition_variable comp_cv_;
   std::map<uint64_t, std::vector<Result<ReplayStats>>> completions_;

@@ -163,8 +163,6 @@ Status ReplayService::CloseSession(SessionId id) {
     return Status::kNotFound;
   }
   sessions_.erase(it);
-  // Requests still queued under this session complete as kNotFound when
-  // processed — the submitter learns its session died, FIFO order is kept.
   EdgeCoverage::Get().Hit(Edge::kServiceClose);
   Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
@@ -287,7 +285,7 @@ void ReplayService::DoInvokeBatch(BatchItem* items, size_t n) {
     }
     if (items[i].session == nullptr) {
       EdgeCoverage::Get().Hit(Edge::kServiceSessionGone);
-      *items[i].out = Status::kNotFound;  // session closed before the drain
+      *items[i].out = Status::kNotFound;  // session closed before the batch ran
     } else {
       *items[i].out = DoInvokeOne(*items[i].session, items[i].entry, *items[i].args);
     }
@@ -321,72 +319,6 @@ std::vector<Result<ReplayStats>> ReplayService::InvokeBatch(SessionId id, const 
   }
   DoInvokeBatch(items.data(), n);
   return out;
-}
-
-Result<uint64_t> ReplayService::Submit(SessionId id, std::string entry, ReplayArgs args) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::kNotFound;
-  }
-  if (it->second.stats.quarantined) {
-    Telemetry& tel = Telemetry::Get();
-    if (tel.enabled()) {
-      tel.metrics().counter("service.quarantine_rejects").Inc();
-    }
-    return Status::kQuarantined;  // fail fast instead of occupying the queue
-  }
-  if (queue_.size() >= cfg_.queue_depth) {
-    EdgeCoverage::Get().Hit(Edge::kServiceQueueReject);
-    Telemetry& tel = Telemetry::Get();
-    if (tel.enabled()) {
-      tel.metrics().counter("service.queue_rejects").Inc();
-    }
-    return Status::kBusy;
-  }
-  EdgeCoverage::Get().Hit(Edge::kServiceQueueSubmit);
-  Pending p;
-  p.id = next_request_++;
-  p.session = id;
-  p.entry = std::move(entry);
-  p.args = std::move(args);
-  p.submit_us = tee_->TimestampUs();
-  queue_.push_back(std::move(p));
-  ++it->second.stats.submitted;
-  return queue_.back().id;
-}
-
-size_t ReplayService::ProcessQueued(size_t max_requests) {
-  Telemetry& tel = Telemetry::Get();
-  // Pop the whole drain up front, then execute it as ONE batch — the FIFO
-  // path pays two world switches per drain, not per request. queue_wait_us
-  // measures submit → drain start; the in-batch wait behind earlier commands
-  // of the same drain lands in ring.queue_wait_us (recorded by the batch).
-  std::vector<Pending> drain;
-  while (drain.size() < max_requests && !queue_.empty()) {
-    drain.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  if (drain.empty()) {
-    return 0;
-  }
-  EdgeCoverage::Get().Hit(Edge::kServiceQueueDrain);
-  std::vector<Result<ReplayStats>> results(drain.size(),
-                                           Result<ReplayStats>(Status::kBadState));
-  std::vector<BatchItem> items(drain.size());
-  for (size_t i = 0; i < drain.size(); ++i) {
-    if (tel.enabled()) {
-      tel.metrics().histogram("service.queue_wait_us").Record(tee_->TimestampUs() -
-                                                              drain[i].submit_us);
-    }
-    auto it = sessions_.find(drain[i].session);
-    items[i] = BatchItem{it == sessions_.end() ? nullptr : &it->second, drain[i].entry,
-                         &drain[i].args, &results[i]};
-  }
-  DoInvokeBatch(items.data(), items.size());
-  for (size_t i = 0; i < drain.size(); ++i) {
-    completions_.emplace(drain[i].id, std::move(results[i]));
-  }
-  return drain.size();
 }
 
 Result<InvocationRing*> ReplayService::Ring(SessionId id) {
@@ -487,16 +419,6 @@ Result<RingCompletion> ReplayService::RingPop(SessionId id) {
     EdgeCoverage::Get().Hit(Edge::kRingPopEmpty);
   }
   return c;
-}
-
-Result<ReplayStats> ReplayService::TakeCompletion(uint64_t request_id) {
-  auto it = completions_.find(request_id);
-  if (it == completions_.end()) {
-    return Status::kNotFound;
-  }
-  Result<ReplayStats> r = std::move(it->second);
-  completions_.erase(it);
-  return r;
 }
 
 Result<SessionStats> ReplayService::Stats(SessionId id) const {

@@ -231,12 +231,32 @@ TEST(MetricsTest, HistogramAccuracy) {
   EXPECT_DOUBLE_EQ(50.5, h.mean());
   // Sample #50 (value 50) falls in bucket [32, 64): upper bound 63.
   EXPECT_EQ(63u, h.Percentile(50));
-  // Sample #99 (value 99) falls in bucket [64, 128): upper bound 127.
-  EXPECT_EQ(127u, h.Percentile(99));
+  // Sample #99 (value 99) falls in bucket [64, 128); its upper bound 127 lies
+  // above every recorded sample, so it clamps to max().
+  EXPECT_EQ(100u, h.Percentile(99));
   h.Reset();
   EXPECT_EQ(0u, h.count());
   EXPECT_EQ(0u, h.min());
   EXPECT_EQ(0u, h.max());
+}
+
+TEST(MetricsTest, HistogramPercentileClampsToRecordedRange) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("test.clamp");
+  // Every sample sits in bucket [65536, 131072), whose ceiling 131071 lies
+  // above all of them: the reported percentile must not.
+  for (uint64_t v : {70000u, 75000u, 84709u}) {
+    h.Record(v);
+  }
+  EXPECT_EQ(84709u, h.Percentile(50));
+  EXPECT_EQ(84709u, h.Percentile(99));
+  EXPECT_LE(h.Percentile(1), h.max());
+  EXPECT_GE(h.Percentile(1), h.min());
+  // A single sample: every percentile is that sample.
+  Histogram& one = reg.histogram("test.clamp_one");
+  one.Record(5);
+  EXPECT_EQ(5u, one.Percentile(1));
+  EXPECT_EQ(5u, one.Percentile(100));
 }
 
 TEST(MetricsTest, HistogramZeroBucket) {

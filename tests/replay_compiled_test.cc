@@ -1,11 +1,14 @@
 // Replay compiler unit tests: lowering (operand folding, coalescing, fallback
-// on unsupported shapes), the TemplateStore compile/selection caches with
-// their hit/miss/evict counters, and interpreter-vs-compiled parity plus the
-// deterministic cost model on a scripted fake context.
+// on unsupported shapes), the TemplateStore compile cache with its
+// hit/miss/evict counters, compiled selection against the linear oracle, and
+// interpreter-vs-compiled parity plus the deterministic cost model on a
+// scripted fake context.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <map>
+#include <memory>
 
 #include "src/core/compiled_executor.h"
 #include "src/core/compiled_program.h"
@@ -185,28 +188,6 @@ TEST(CompiledProgramTest, DeepExpressionFallsBackUnsupported) {
   EXPECT_EQ(Status::kUnsupported, p.status());
 }
 
-TEST(CompiledProgramTest, EvalInitialMatchesTreeEvaluation) {
-  InteractionTemplate t;
-  t.name = "T";
-  t.initial.AddAtom(ConstraintAtom{Expr::Input("a"), Cmp::kEq, Expr::Const(1)});
-  TemplateEvent wr;
-  wr.kind = EventKind::kRegWrite;
-  wr.value = Expr::Const(0);
-  t.events.push_back(wr);
-  Result<std::shared_ptr<const CompiledProgram>> p = CompileTemplate(&t);
-  ASSERT_TRUE(p.ok());
-
-  Result<bool> match = (*p)->EvalInitial({{"a", 1}});
-  ASSERT_TRUE(match.ok());
-  EXPECT_TRUE(*match);
-  Result<bool> reject = (*p)->EvalInitial({{"a", 2}});
-  ASSERT_TRUE(reject.ok());
-  EXPECT_FALSE(*reject);
-  Result<bool> unbound = (*p)->EvalInitial({});
-  EXPECT_FALSE(unbound.ok());
-  EXPECT_EQ(Status::kNotFound, unbound.status());
-}
-
 InteractionTemplate ParityTemplate() {
   InteractionTemplate t;
   t.name = "parity";
@@ -340,52 +321,117 @@ DriverletPackage CachePackage() {
   return pkg;
 }
 
-TEST(TemplateStoreCompiledTest, SelectAndCompileCacheCounters) {
+TEST(TemplateStoreCompiledTest, CompileCacheCounters) {
   TemplateStore store;
   ASSERT_EQ(Status::kOk, store.AddPackage(CachePackage()));
 
-  // First selection: both caches miss, the program compiles once.
+  // First selection: the winner compiles once.
   Result<TemplateStore::CompiledSelection> s1 = store.SelectCompiled("d", "e", {{"a", 1}});
   ASSERT_TRUE(s1.ok());
   ASSERT_NE(nullptr, s1->program);
-  EXPECT_EQ(1u, store.select_cache_misses());
-  EXPECT_EQ(0u, store.select_cache_hits());
   EXPECT_EQ(1u, store.compile_cache_misses());
   EXPECT_EQ(0u, store.compile_cache_hits());
 
-  // Same scalar signature, different value: select cache hits (values gate at
-  // invoke time), compile cache untouched.
+  // Different value, then a different scalar signature (superset): the same
+  // winner, served from the compile cache both times.
   Result<TemplateStore::CompiledSelection> s2 = store.SelectCompiled("d", "e", {{"a", 7}});
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(s1->program.get(), s2->program.get());
-  EXPECT_EQ(1u, store.select_cache_hits());
-  EXPECT_EQ(1u, store.select_cache_misses());
-
-  // New scalar signature (superset): a fresh select-cache entry reuses the
-  // compiled program through the compile cache.
   Result<TemplateStore::CompiledSelection> s3 =
       store.SelectCompiled("d", "e", {{"a", 1}, {"extra", 9}});
   ASSERT_TRUE(s3.ok());
   EXPECT_EQ(s1->program.get(), s3->program.get());
-  EXPECT_EQ(2u, store.select_cache_misses());
-  EXPECT_EQ(1u, store.compile_cache_hits());
+  EXPECT_EQ(2u, store.compile_cache_hits());
   EXPECT_EQ(1u, store.compile_cache_misses());
 
-  // Initial-constraint rejection happens per invoke against the cached list.
+  // Initial-constraint rejection is reported and compiles nothing.
   std::vector<const InteractionTemplate*> rejected;
   Result<TemplateStore::CompiledSelection> s4 =
       store.SelectCompiled("d", "e", {{"a", 1000}}, &rejected);
   EXPECT_FALSE(s4.ok());
   EXPECT_EQ(Status::kNoTemplate, s4.status());
   EXPECT_EQ(1u, rejected.size());
+  EXPECT_EQ(1u, store.compile_cache_misses());
 
-  // Reloading the driverlet invalidates both caches (template addresses die).
+  // Reloading the driverlet invalidates the cache (template addresses die).
   ASSERT_EQ(Status::kOk, store.AddPackage(CachePackage()));
   EXPECT_EQ(1u, store.compile_cache_evictions());
-  EXPECT_GE(store.select_cache_evictions(), 2u);
   Result<TemplateStore::CompiledSelection> s5 = store.SelectCompiled("d", "e", {{"a", 1}});
   ASSERT_TRUE(s5.ok());
   EXPECT_EQ(2u, store.compile_cache_misses());
+}
+
+// One unindexed entry slot whose templates bind different scalar param sets:
+// {a}, {b} and {a, b}. Every input below is covered by exactly one of them.
+DriverletPackage MixedParamPackage() {
+  DriverletPackage pkg;
+  pkg.driverlet = "d";
+  auto add = [&pkg](const char* name, std::vector<std::string> params,
+                    std::vector<ConstraintAtom> atoms) {
+    InteractionTemplate t;
+    t.name = name;
+    t.entry = "e";
+    for (const std::string& p : params) {
+      t.params.push_back(ParamSpec{p, false});
+    }
+    for (ConstraintAtom& a : atoms) {
+      t.initial.AddAtom(std::move(a));
+    }
+    TemplateEvent wr;
+    wr.kind = EventKind::kRegWrite;
+    wr.reg_off = 0x10;
+    wr.value = Expr::Input(params.front());
+    t.events.push_back(wr);
+    pkg.templates.push_back(std::move(t));
+  };
+  add("A", {"a"}, {ConstraintAtom{Expr::Input("a"), Cmp::kLe, Expr::Const(10)}});
+  add("B", {"b"}, {ConstraintAtom{Expr::Input("b"), Cmp::kGe, Expr::Const(5)}});
+  add("AB", {"a", "b"},
+      {ConstraintAtom{Expr::Input("a"), Cmp::kGt, Expr::Const(10)},
+       ConstraintAtom{Expr::Input("b"), Cmp::kLt, Expr::Const(5)}});
+  return pkg;
+}
+
+TEST(TemplateStoreCompiledTest, SelectCompiledMatchesLinearAcrossSignaturesAndSwap) {
+  TemplateStore store;
+  ASSERT_EQ(Status::kOk, store.AddPackage(MixedParamPackage()));
+  ASSERT_EQ(0u, store.indexed_slot_count());
+  // Alternating scalar signatures: {a}, {b}, {a, b} with either param set's
+  // winner, and back again.
+  const std::vector<Bindings> inputs = {
+      {{"a", 3}},  {{"b", 9}},           {{"a", 50}, {"b", 2}}, {{"a", 3}},
+      {{"b", 7}},  {{"a", 50}, {"b", 9}}, {{"a", 10}},           {{"a", 50}, {"b", 2}},
+  };
+  auto run = [&](const char* phase) {
+    std::map<const InteractionTemplate*, const CompiledProgram*> cold;
+    for (const Bindings& in : inputs) {
+      Result<TemplateStore::CompiledSelection> sel = store.SelectCompiled("d", "e", in);
+      Result<const InteractionTemplate*> lin = store.SelectLinear("d", "e", in);
+      ASSERT_TRUE(sel.ok()) << phase;
+      ASSERT_TRUE(lin.ok()) << phase;
+      EXPECT_EQ(*lin, sel->tpl) << phase << " winner " << sel->tpl->name;
+      ASSERT_NE(nullptr, sel->program);
+      EXPECT_EQ(sel->tpl, sel->program->source) << phase;
+      // Warm selections hand back the very program the cold one compiled.
+      auto [it, first] = cold.emplace(sel->tpl, sel->program.get());
+      if (!first) {
+        EXPECT_EQ(it->second, sel->program.get()) << phase << " " << sel->tpl->name;
+      }
+    }
+    EXPECT_EQ(3u, cold.size()) << phase;
+  };
+  run("before swap");
+  EXPECT_EQ(3u, store.compile_cache_misses());
+
+  // Another view publishes a new population; this view resyncs lazily and
+  // must select (and compile) the new snapshot's templates, never the old.
+  DriverletPackage unrelated = CachePackage();
+  unrelated.driverlet = "other";
+  std::unique_ptr<TemplateStore> other = store.NewShardView();
+  ASSERT_EQ(Status::kOk, other->AddPackage(unrelated));
+  run("after swap");
+  EXPECT_EQ(3u, store.compile_cache_evictions());
+  EXPECT_EQ(6u, store.compile_cache_misses());
 }
 
 }  // namespace

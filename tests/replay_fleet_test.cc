@@ -2,8 +2,9 @@
 // isolation and media independence, least-loaded pinning, per-shard kBusy
 // backpressure, work stealing under skewed load, per-session determinism with
 // stealing on vs. off (byte-identical to the single-shard ReplayService
-// baseline), and clean shutdown with work still queued. Runs under the
-// ASan+UBSan job and the TSan job (docs/replay_fleet.md).
+// baseline), queued batches of a closed session, and clean shutdown with work
+// still queued. Runs under the ASan+UBSan job and the TSan job
+// (docs/replay_fleet.md).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -36,6 +37,21 @@ class ReplayFleetTest : public ::testing::Test {
     args.scalars = {{"rw", rw}, {"blkcnt", blkcnt}, {"blkid", blkid}, {"flag", 0}};
     args.buffers["buf"] = BufferView{buf->data(), buf->size()};
     return args;
+  }
+
+  // One MMC command submitted as its own dispatch unit (a batch of 1).
+  static Result<uint64_t> SubmitOne(ReplayFleet& fleet, FleetSessionId sid, ReplayArgs args) {
+    std::vector<RingCmd> one;
+    one.push_back(RingCmd{kMmcEntry, std::move(args)});
+    return fleet.SubmitBatch(sid, std::move(one));
+  }
+  // The single result of a batch of 1: kNotFound while it is still pending.
+  static Result<ReplayStats> TakeOne(ReplayFleet& fleet, uint64_t req) {
+    DLT_ASSIGN_OR_RETURN(std::vector<Result<ReplayStats>> r, fleet.TakeBatchCompletion(req));
+    return std::move(r.front());
+  }
+  static Result<ReplayStats> WaitOne(ReplayFleet& fleet, uint64_t req) {
+    return std::move(fleet.WaitBatchCompletion(req).front());
   }
 
   static std::vector<uint8_t>* mmc_;
@@ -129,14 +145,13 @@ TEST_F(ReplayFleetTest, BusyBackpressureIsPerShard) {
 
   // Pool not started: submissions just queue. Shard 0 fills at depth 2 ...
   std::vector<uint8_t> buf(512, 0xa5);
-  Result<uint64_t> r1 = fleet.Submit(*s0, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 64, &buf));
-  Result<uint64_t> r2 = fleet.Submit(*s0, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 72, &buf));
+  Result<uint64_t> r1 = SubmitOne(fleet, *s0, BlockArgs(kMmcRwWrite, 1, 64, &buf));
+  Result<uint64_t> r2 = SubmitOne(fleet, *s0, BlockArgs(kMmcRwWrite, 1, 72, &buf));
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(Status::kBusy,
-            fleet.Submit(*s0, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 80, &buf)).status());
+  EXPECT_EQ(Status::kBusy, SubmitOne(fleet, *s0, BlockArgs(kMmcRwWrite, 1, 80, &buf)).status());
   // ... while shard 1's queue is untouched and still admits.
   std::vector<uint8_t> buf1(512, 0x5a);
-  ASSERT_TRUE(fleet.Submit(*s1, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 64, &buf1)).ok());
+  ASSERT_TRUE(SubmitOne(fleet, *s1, BlockArgs(kMmcRwWrite, 1, 64, &buf1)).ok());
 
   FleetStats st = fleet.stats();
   EXPECT_EQ(1u, st.shards[0].busy_rejects);
@@ -145,9 +160,9 @@ TEST_F(ReplayFleetTest, BusyBackpressureIsPerShard) {
 
   // Inline drain executes everything; completions are taken exactly once.
   EXPECT_EQ(3u, fleet.ProcessQueuedInline());
-  EXPECT_TRUE(fleet.TakeCompletion(*r1).ok());
-  EXPECT_TRUE(fleet.TakeCompletion(*r2).ok());
-  EXPECT_EQ(Status::kNotFound, fleet.TakeCompletion(*r1).status());
+  EXPECT_TRUE(TakeOne(fleet, *r1).ok());
+  EXPECT_TRUE(TakeOne(fleet, *r2).ok());
+  EXPECT_EQ(Status::kNotFound, TakeOne(fleet, *r1).status());
 }
 
 TEST_F(ReplayFleetTest, StealingDrainsSkewedLoad) {
@@ -184,7 +199,7 @@ TEST_F(ReplayFleetTest, StealingDrainsSkewedLoad) {
       // kBusy just means the queue is momentarily full — retry; the pool is
       // draining it concurrently.
       for (;;) {
-        Result<uint64_t> r = fleet.Submit(sid, kMmcEntry, args);
+        Result<uint64_t> r = SubmitOne(fleet, sid, args);
         if (r.ok()) {
           reqs.push_back(*r);
           break;
@@ -195,7 +210,7 @@ TEST_F(ReplayFleetTest, StealingDrainsSkewedLoad) {
     }
   }
   for (uint64_t req : reqs) {
-    EXPECT_TRUE(fleet.WaitCompletion(req).ok());
+    EXPECT_TRUE(WaitOne(fleet, req).ok());
   }
   fleet.Stop();
 
@@ -268,20 +283,20 @@ TEST_F(ReplayFleetTest, PerSessionDeterminismWithStealingOnAndOff) {
       r.w2 = second;
       r.read.assign(kCount * 512, 0);
       Result<uint64_t> q1 =
-          fleet.Submit(sids[i], kMmcEntry, BlockArgs(kMmcRwWrite, kCount, kBlkid, &r.w1));
+          SubmitOne(fleet, sids[i], BlockArgs(kMmcRwWrite, kCount, kBlkid, &r.w1));
       Result<uint64_t> q2 =
-          fleet.Submit(sids[i], kMmcEntry, BlockArgs(kMmcRwWrite, kCount, kBlkid, &r.w2));
+          SubmitOne(fleet, sids[i], BlockArgs(kMmcRwWrite, kCount, kBlkid, &r.w2));
       Result<uint64_t> q3 =
-          fleet.Submit(sids[i], kMmcEntry, BlockArgs(kMmcRwRead, kCount, kBlkid, &r.read));
+          SubmitOne(fleet, sids[i], BlockArgs(kMmcRwRead, kCount, kBlkid, &r.read));
       ASSERT_TRUE(q1.ok() && q2.ok() && q3.ok());
       r.req_w1 = *q1;
       r.req_w2 = *q2;
       r.req_read = *q3;
     }
     for (SessionRun& r : runs) {
-      EXPECT_TRUE(fleet.WaitCompletion(r.req_w1).ok());
-      EXPECT_TRUE(fleet.WaitCompletion(r.req_w2).ok());
-      Result<ReplayStats> read = fleet.WaitCompletion(r.req_read);
+      EXPECT_TRUE(WaitOne(fleet, r.req_w1).ok());
+      EXPECT_TRUE(WaitOne(fleet, r.req_w2).ok());
+      Result<ReplayStats> read = WaitOne(fleet, r.req_read);
       ASSERT_TRUE(read.ok());
       // Byte-identical to the single-shard baseline read.
       EXPECT_EQ(base_read, r.read) << "stealing=" << stealing;
@@ -301,11 +316,10 @@ TEST_F(ReplayFleetTest, StopCompletesQueuedWorkAsAborted) {
     Result<FleetSessionId> sid = fleet.OpenSessionOn(0, "mmc");
     ASSERT_TRUE(sid.ok());
     std::vector<uint8_t> buf(512, 0x11);
-    Result<uint64_t> req =
-        fleet.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 32, &buf));
+    Result<uint64_t> req = SubmitOne(fleet, *sid, BlockArgs(kMmcRwWrite, 1, 32, &buf));
     ASSERT_TRUE(req.ok());
     fleet.Stop();
-    EXPECT_EQ(Status::kAborted, fleet.TakeCompletion(*req).status());
+    EXPECT_EQ(Status::kAborted, TakeOne(fleet, *req).status());
     EXPECT_EQ(0u, fleet.stats().shards[0].queue_depth);
   }
 
@@ -326,8 +340,8 @@ TEST_F(ReplayFleetTest, StopCompletesQueuedWorkAsAborted) {
     std::vector<uint64_t> reqs;
     for (int i = 0; i < 64; ++i) {
       bufs.emplace_back(512, 0x22);
-      Result<uint64_t> r = fleet.Submit(
-          *sid, kMmcEntry,
+      Result<uint64_t> r = SubmitOne(
+          fleet, *sid,
           BlockArgs(kMmcRwWrite, 1, 512 + static_cast<uint64_t>(i) * 8, &bufs.back()));
       if (r.ok()) {
         reqs.push_back(*r);
@@ -337,7 +351,7 @@ TEST_F(ReplayFleetTest, StopCompletesQueuedWorkAsAborted) {
     size_t executed = 0;
     size_t aborted = 0;
     for (uint64_t req : reqs) {
-      Result<ReplayStats> c = fleet.TakeCompletion(req);
+      Result<ReplayStats> c = TakeOne(fleet, req);
       if (c.ok()) {
         ++executed;
       } else {
@@ -374,9 +388,7 @@ TEST_F(ReplayFleetTest, BatchDispatchesAsOneUnit) {
   EXPECT_EQ(1u, st.shards[0].queue_depth);  // dispatch units
 
   EXPECT_EQ(1u, fleet.ProcessQueuedInline());  // one unit drained
-  // The scalar accessor refuses to flatten a real batch; the batch accessor
-  // hands back all four results in submission order.
-  EXPECT_EQ(Status::kInvalidArg, fleet.TakeCompletion(*req).status());
+  // All four results come back together, in submission order.
   Result<std::vector<Result<ReplayStats>>> all = fleet.TakeBatchCompletion(*req);
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(4u, all->size());
@@ -385,6 +397,38 @@ TEST_F(ReplayFleetTest, BatchDispatchesAsOneUnit) {
   }
   EXPECT_EQ(Status::kNotFound, fleet.TakeBatchCompletion(*req).status());
   EXPECT_EQ(4u, fleet.stats().shards[0].executed);
+}
+
+TEST_F(ReplayFleetTest, QueuedBatchOfClosedSessionCompletesAsNotFound) {
+  ReplayFleetConfig cfg;
+  cfg.shards = 2;
+  ReplayFleet fleet(kDeveloperKey, cfg);
+  ASSERT_TRUE(fleet.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
+  Result<FleetSessionId> sid = fleet.OpenSessionOn(0, "mmc");
+  ASSERT_TRUE(sid.ok());
+
+  // Pool not started: the batch queues, then its session closes under it.
+  std::vector<std::vector<uint8_t>> bufs(2, std::vector<uint8_t>(512, 0x55));
+  std::vector<RingCmd> cmds;
+  for (size_t i = 0; i < bufs.size(); ++i) {
+    cmds.push_back(RingCmd{kMmcEntry, BlockArgs(kMmcRwWrite, 1, 160 + i * 8, &bufs[i])});
+  }
+  Result<uint64_t> req = fleet.SubmitBatch(*sid, std::move(cmds));
+  ASSERT_TRUE(req.ok());
+  ASSERT_EQ(Status::kOk, fleet.CloseSession(*sid));
+
+  // The drain still completes every command — as kNotFound, without touching
+  // the device — so the submitter learns its session died.
+  const Replayer* rep = fleet.shard_service(0).replayer("mmc");
+  uint64_t events_before = rep->total_events_executed();
+  EXPECT_EQ(1u, fleet.ProcessQueuedInline());
+  Result<std::vector<Result<ReplayStats>>> all = fleet.TakeBatchCompletion(*req);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(2u, all->size());
+  for (const Result<ReplayStats>& r : *all) {
+    EXPECT_EQ(Status::kNotFound, r.status());
+  }
+  EXPECT_EQ(events_before, rep->total_events_executed());
 }
 
 TEST_F(ReplayFleetTest, BatchCompletionUnderRunningPool) {

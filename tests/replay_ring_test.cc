@@ -101,26 +101,24 @@ TEST_F(ReplayRingTest, DoorbellDrainsWholeBatchUnderTwoSwitches) {
   EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
 }
 
-TEST_F(ReplayRingTest, FifoDrainIsOneBatch) {
+TEST_F(ReplayRingTest, InvokeBatchIsOneBatch) {
   ReplayService svc(&tb_->tee(), kDeveloperKey);
   ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
   Result<SessionId> sid = svc.OpenSession("mmc");
   ASSERT_TRUE(sid.ok());
 
   std::vector<std::vector<uint8_t>> bufs(3);
-  std::vector<uint64_t> reqs;
+  std::vector<RingCmd> cmds;
   for (size_t i = 0; i < bufs.size(); ++i) {
-    Result<uint64_t> r =
-        svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &bufs[i]));
-    ASSERT_TRUE(r.ok());
-    reqs.push_back(*r);
+    cmds.push_back(RingCmd{kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &bufs[i])});
   }
   uint64_t sw0 = tb_->tee().world_switches();
-  EXPECT_EQ(3u, svc.ProcessQueued());
-  // The queued path batches too: one drain, two switches for three requests.
+  std::vector<Result<ReplayStats>> out = svc.InvokeBatch(*sid, cmds.data(), cmds.size());
+  // The fleet's transport batches too: two switches for three commands.
   EXPECT_EQ(sw0 + 2, tb_->tee().world_switches());
-  for (uint64_t r : reqs) {
-    EXPECT_TRUE(svc.TakeCompletion(r).ok());
+  ASSERT_EQ(3u, out.size());
+  for (const Result<ReplayStats>& r : out) {
+    EXPECT_TRUE(r.ok());
   }
 }
 
@@ -247,7 +245,7 @@ TEST_F(ReplayRingTest, QuarantineMidBatchFailsRemainingCommandsFast) {
   EXPECT_TRUE(svc.Stats(*sid)->quarantined);
   EXPECT_EQ(1u, svc.quarantined_sessions());
 
-  // Push-side fail-fast mirrors Submit once the session is quarantined, with
+  // Push-side fail-fast mirrors Invoke once the session is quarantined, with
   // no device access even though the medium is healthy again.
   uint64_t resets_before = svc.replayer("mmc")->total_resets();
   EXPECT_EQ(Status::kQuarantined,

@@ -1,6 +1,6 @@
 // ReplayService + TemplateStore tests: multi-package loading, session routing
-// and per-session stats, admission policy, bounded FIFO queue semantics, and
-// the buffer-view const-correctness at the service boundary.
+// and per-session stats, admission policy, bounded invocation-ring semantics,
+// and the buffer-view const-correctness at the service boundary.
 #include <gtest/gtest.h>
 
 #include "src/core/template_store.h"
@@ -184,51 +184,42 @@ TEST_F(ReplayServiceTest, AdmissionRejectsTamperedPackage) {
   EXPECT_FALSE(svc.IsRegistered("mmc"));
 }
 
-TEST_F(ReplayServiceTest, QueueIsFifoAndBounded) {
+TEST_F(ReplayServiceTest, RingIsFifoAndBounded) {
   ReplayServiceConfig cfg;
-  cfg.queue_depth = 2;
+  cfg.ring_depth = 2;
   ReplayService svc(&tb_->tee(), kDeveloperKey, cfg);
   ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
   Result<SessionId> sid = svc.OpenSession("mmc");
   ASSERT_TRUE(sid.ok());
 
-  // Queued args borrow the submitter's buffers; keep them alive per request.
+  // Ring descriptors borrow the submitter's buffers; keep them alive per push.
   std::vector<uint8_t> b1, b2, b3;
-  Result<uint64_t> r1 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
-  Result<uint64_t> r2 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
+  Result<uint64_t> r1 = svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
+  Result<uint64_t> r2 = svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(2u, svc.queue_backlog());
-  // Bounded: the third submission is refused with explicit backpressure.
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
+  EXPECT_EQ(2u, (*svc.Ring(*sid))->submission_depth());
+  // Bounded: the third push is refused with explicit backpressure.
+  EXPECT_EQ(Status::kBusy,
+            svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
 
-  // Completions are not available before processing.
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r1).status());
+  // Completions are not available before the doorbell.
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
 
-  // FIFO: processing one request completes the oldest submission.
-  EXPECT_EQ(1u, svc.ProcessQueued(1));
-  EXPECT_TRUE(svc.TakeCompletion(*r1).ok());
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r2).status());
-  EXPECT_EQ(1u, svc.ProcessQueued());
-  Result<ReplayStats> done = svc.TakeCompletion(*r2);
-  ASSERT_TRUE(done.ok());
-  EXPECT_EQ("RD_8", done->template_name);
-  // Each completion is taken exactly once.
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r2).status());
-  EXPECT_EQ(0u, svc.queue_backlog());
+  // FIFO: completions reap in push order.
+  ASSERT_EQ(2u, *svc.RingDoorbell(*sid));
+  Result<RingCompletion> c1 = svc.RingPop(*sid);
+  ASSERT_TRUE(c1.ok());
+  EXPECT_EQ(*r1, c1->seq);
+  EXPECT_TRUE(c1->result.ok());
+  Result<RingCompletion> c2 = svc.RingPop(*sid);
+  ASSERT_TRUE(c2.ok());
+  EXPECT_EQ(*r2, c2->seq);
+  ASSERT_TRUE(c2->result.ok());
+  EXPECT_EQ("RD_8", c2->result->template_name);
+  // Each completion is reaped exactly once.
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
+  EXPECT_EQ(0u, (*svc.Ring(*sid))->in_flight());
   EXPECT_EQ(2u, svc.Stats(*sid)->submitted);
-}
-
-TEST_F(ReplayServiceTest, RequestsOfClosedSessionCompleteAsNotFound) {
-  ReplayService svc(&tb_->tee(), kDeveloperKey);
-  ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<SessionId> sid = svc.OpenSession("mmc");
-  ASSERT_TRUE(sid.ok());
-  std::vector<uint8_t> buf;
-  Result<uint64_t> req = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &buf));
-  ASSERT_TRUE(req.ok());
-  ASSERT_EQ(Status::kOk, svc.CloseSession(*sid));
-  EXPECT_EQ(1u, svc.ProcessQueued());
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*req).status());
 }
 
 TEST_F(ReplayServiceTest, ReadOnlyBufferViewIsEnforced) {
@@ -253,35 +244,42 @@ TEST_F(ReplayServiceTest, ReadOnlyBufferViewIsEnforced) {
   EXPECT_EQ(Status::kPermissionDenied, r.status());
 }
 
-TEST_F(ReplayServiceTest, QueueRefillsAfterBusyDrain) {
-  // Backpressure is transient: a kBusy submitter can retry successfully as
-  // soon as the worker drains a slot, and the refused request occupied nothing.
+TEST_F(ReplayServiceTest, RingRefillsAfterBusyReap) {
+  // Backpressure is transient: a kBusy pusher can retry successfully as soon
+  // as a completion is reaped, and the refused push occupied nothing.
   ReplayServiceConfig cfg;
-  cfg.queue_depth = 2;
+  cfg.ring_depth = 2;
   ReplayService svc(&tb_->tee(), kDeveloperKey, cfg);
   ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
   Result<SessionId> sid = svc.OpenSession("mmc");
   ASSERT_TRUE(sid.ok());
 
   std::vector<uint8_t> b1, b2, b3, b4;
-  Result<uint64_t> r1 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
-  Result<uint64_t> r2 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
+  Result<uint64_t> r1 = svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
+  Result<uint64_t> r2 = svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
+  EXPECT_EQ(Status::kBusy,
+            svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
 
-  ASSERT_EQ(1u, svc.ProcessQueued(1));
-  Result<uint64_t> r3 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3));
+  ASSERT_EQ(2u, *svc.RingDoorbell(*sid));
+  Result<RingCompletion> c1 = svc.RingPop(*sid);
+  ASSERT_TRUE(c1.ok() && c1->result.ok());
+  Result<uint64_t> r3 = svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3));
   ASSERT_TRUE(r3.ok()) << StatusName(r3.status());
-  EXPECT_EQ(2u, svc.queue_backlog());
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b4)).status());
+  EXPECT_EQ(2u, (*svc.Ring(*sid))->in_flight());
+  EXPECT_EQ(Status::kBusy,
+            svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b4)).status());
 
-  EXPECT_EQ(2u, svc.ProcessQueued());
-  EXPECT_TRUE(svc.TakeCompletion(*r1).ok());
-  EXPECT_TRUE(svc.TakeCompletion(*r2).ok());
-  EXPECT_TRUE(svc.TakeCompletion(*r3).ok());
-  // The kBusy rejections were never enqueued: no stray completions, and only
-  // the accepted submissions were charged to the session.
-  EXPECT_EQ(0u, svc.queue_backlog());
+  ASSERT_EQ(1u, *svc.RingDoorbell(*sid));
+  for (uint64_t want : {*r2, *r3}) {
+    Result<RingCompletion> c = svc.RingPop(*sid);
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(want, c->seq);
+    EXPECT_TRUE(c->result.ok());
+  }
+  // The kBusy rejections were never admitted: no stray completions, and only
+  // the accepted pushes were charged to the session.
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
   EXPECT_EQ(3u, svc.Stats(*sid)->submitted);
 }
 
@@ -374,9 +372,9 @@ TEST_F(ReplayServiceTest, QuarantineFailsFastAndOnlyDeviceFailuresClimb) {
   EXPECT_EQ(Status::kQuarantined,
             svc.Invoke(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
   EXPECT_EQ(Status::kQuarantined,
-            svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
+            svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
   EXPECT_EQ(resets_before, svc.replayer("mmc")->total_resets());
-  EXPECT_EQ(0u, svc.queue_backlog());
+  EXPECT_EQ(0u, (*svc.Ring(*sid))->submission_depth());
 
   // The only way out is a fresh session, which starts with a clean slate.
   EXPECT_EQ(Status::kOk, svc.CloseSession(*sid));

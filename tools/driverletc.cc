@@ -15,7 +15,7 @@
 //   driverletc trace <pkg.dlt> -o trace.json
 //       Smoke replay with telemetry armed; writes a Chrome trace-event JSON
 //       file (open in chrome://tracing or https://ui.perfetto.dev) and prints
-//       the metrics summary plus the replay cache counters. See
+//       the metrics summary plus the selection and compile-cache counters. See
 //       docs/observability.md.
 //   driverletc compile <pkg.dlt> [--dump]
 //       Lowers every template through the replay compiler and prints the
@@ -197,16 +197,13 @@ int CmdVerify(const char* path) {
   return pkg.ok() ? 0 : 1;
 }
 
-// Prints the store's selection-cache and compile-cache counters in the same
-// one-line-per-cache shape as the telemetry metrics summary.
+// Prints the store's selection and compile-cache counters in the same
+// one-line-per-layer shape as the telemetry metrics summary.
 void PrintCacheCounters(const TemplateStore& store) {
-  std::printf("replay caches:\n");
-  std::printf("  select cache : %llu hits / %llu misses / %llu evictions"
-              " (%llu candidates scanned)\n",
-              static_cast<unsigned long long>(store.select_cache_hits()),
-              static_cast<unsigned long long>(store.select_cache_misses()),
-              static_cast<unsigned long long>(store.select_cache_evictions()),
-              static_cast<unsigned long long>(store.candidates_scanned()));
+  std::printf("replay selection + compile cache:\n");
+  std::printf("  selection    : %llu candidates scanned / %llu index probes\n",
+              static_cast<unsigned long long>(store.candidates_scanned()),
+              static_cast<unsigned long long>(store.index_probes()));
   std::printf("  compile cache: %llu hits / %llu misses / %llu evictions\n",
               static_cast<unsigned long long>(store.compile_cache_hits()),
               static_cast<unsigned long long>(store.compile_cache_misses()),
@@ -587,7 +584,9 @@ int CmdFleet(int argc, char** argv) {
                         &args)) {
         continue;
       }
-      Result<uint64_t> req = fleet.Submit(clients[c].sid, clients[c].entry, args);
+      std::vector<RingCmd> one;
+      one.push_back(RingCmd{clients[c].entry, std::move(args)});
+      Result<uint64_t> req = fleet.SubmitBatch(clients[c].sid, std::move(one));
       if (!req.ok()) {
         ++failures;
         reqs[c] = 0;
@@ -597,7 +596,7 @@ int CmdFleet(int argc, char** argv) {
       ++submitted;
     }
     for (size_t c = 0; c < clients.size(); ++c) {
-      if (reqs[c] != 0 && !fleet.WaitCompletion(reqs[c]).ok()) {
+      if (reqs[c] != 0 && !fleet.WaitBatchCompletion(reqs[c]).front().ok()) {
         ++failures;
       }
       reqs[c] = 0;
