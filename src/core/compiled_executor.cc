@@ -54,7 +54,7 @@ Status CompiledExecutor::CheckAtoms(uint32_t begin, uint32_t end, const SrcEvent
   }
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
-    t.metrics().counter("replay.constraint_evals").Inc();
+    ConstraintEvalsCounter().Inc();
     t.Instant(TraceKind::kConstraintEval, ctx_->TimestampUs(),
               se.ev->bind.empty() ? EventKindName(se.ev->kind) : se.ev->bind, observed,
               se.index, se.ev->device);
@@ -318,7 +318,7 @@ Status CompiledExecutor::ExecBulkExact(const CompiledOp& op, DivergenceReport* r
     }
     if (telemetry) {
       uint64_t dur = ctx_->TimestampUs() - t0;
-      t.metrics().counter("replay.events").Inc();
+      ReplayEventsCounter().Inc();
       ReplayKindHistogram(se.ev->kind).Record(dur);
       t.Span(TraceKind::kReplayEvent, t0, dur, EventKindName(se.ev->kind), se.index,
              static_cast<uint64_t>(s), se.ev->device);
@@ -428,7 +428,7 @@ Status CompiledExecutor::ExecOp(const CompiledOp& op, DivergenceReport* report) 
   ++events_executed_;
   Status s = Dispatch(op, report);
   uint64_t dur = ctx_->TimestampUs() - t0;
-  t.metrics().counter("replay.events").Inc();
+  ReplayEventsCounter().Inc();
   ReplayKindHistogram(se.ev->kind).Record(dur);
   t.Span(TraceKind::kReplayEvent, t0, dur, EventKindName(se.ev->kind), se.index,
          static_cast<uint64_t>(s), se.ev->device);

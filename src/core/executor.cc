@@ -28,6 +28,16 @@ Histogram& ReplayKindHistogram(EventKind k) {
   return *h;
 }
 
+Counter& ReplayEventsCounter() {
+  static Counter* c = &Telemetry::Get().metrics().counter("replay.events");
+  return *c;
+}
+
+Counter& ConstraintEvalsCounter() {
+  static Counter* c = &Telemetry::Get().metrics().counter("replay.constraint_evals");
+  return *c;
+}
+
 std::string DescribeEvent(const TemplateEvent& e) {
   std::ostringstream os;
   os << EventKindName(e.kind);
@@ -135,7 +145,7 @@ Status Executor::CheckConstraint(const TemplateEvent& e, size_t index, uint64_t 
   }
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
-    t.metrics().counter("replay.constraint_evals").Inc();
+    ConstraintEvalsCounter().Inc();
     t.Instant(TraceKind::kConstraintEval, ctx_->TimestampUs(),
               e.bind.empty() ? EventKindName(e.kind) : e.bind, observed, index, e.device);
   }
@@ -202,7 +212,7 @@ Status Executor::RunOne(const TemplateEvent& e, size_t index, DivergenceReport* 
   uint64_t t0 = ctx_->TimestampUs();
   Status s = ExecuteOne(e, index, report);
   uint64_t dur = ctx_->TimestampUs() - t0;
-  t.metrics().counter("replay.events").Inc();
+  ReplayEventsCounter().Inc();
   ReplayKindHistogram(e.kind).Record(dur);
   t.Span(TraceKind::kReplayEvent, t0, dur, EventKindName(e.kind), index,
          static_cast<uint64_t>(s), e.device);

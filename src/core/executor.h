@@ -13,6 +13,7 @@
 
 namespace dlt {
 
+class Counter;
 class Histogram;
 class IntegrityChain;
 
@@ -84,6 +85,11 @@ void FillDivergenceReport(ReplayContext* ctx, const InteractionTemplate& tpl,
 // Per-kind replay latency histogram, shared between engines so both record
 // into the same "replay.us.<kind>" series.
 Histogram& ReplayKindHistogram(EventKind k);
+
+// "replay.events" and "replay.constraint_evals", resolved once and shared by
+// both engines.
+Counter& ReplayEventsCounter();
+Counter& ConstraintEvalsCounter();
 
 }  // namespace dlt
 

@@ -1,7 +1,8 @@
 #include "src/dev/vc4/vc4_firmware.h"
 
-#include <algorithm>
+#include <emmintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/soc/log.h"
@@ -23,6 +24,135 @@ bool LookupResolution(uint32_t res, Resolution* out) {
     case 1080: *out = {1920, 1080}; return true;
     case 1440: *out = {2560, 1440}; return true;
     default: return false;
+  }
+}
+
+// Frame payload generator: the low byte of each xorshift32 state, 0xff mapped
+// to 0xfe so the entropy segment never holds a marker.
+constexpr uint32_t XorShift(uint32_t x) {
+  x ^= x << 13;
+  x ^= x >> 17;
+  x ^= x << 5;
+  return x;
+}
+
+constexpr uint8_t PayloadByte(uint32_t x) {
+  uint8_t b = static_cast<uint8_t>(x);
+  return b == 0xff ? 0xfe : b;
+}
+
+// xorshift32 is linear over GF(2)^32, so k steps are one 32x32 bit matrix
+// M^k, held as its columns (col[j] = image of bit j).
+struct BitMatrix {
+  uint32_t col[32] = {};
+
+  constexpr uint32_t Apply(uint32_t x) const {
+    uint32_t y = 0;
+    for (int j = 0; j < 32; ++j) {
+      y ^= col[j] & (0u - ((x >> j) & 1u));
+    }
+    return y;
+  }
+};
+
+// M^(2^k) for every k, squared out at compile time.
+struct JumpTable {
+  BitMatrix pow2[32];
+
+  constexpr JumpTable() {
+    for (int j = 0; j < 32; ++j) {
+      pow2[0].col[j] = XorShift(1u << j);
+    }
+    for (int k = 1; k < 32; ++k) {
+      for (int j = 0; j < 32; ++j) {
+        pow2[k].col[j] = pow2[k - 1].Apply(pow2[k - 1].col[j]);
+      }
+    }
+  }
+};
+
+constexpr JumpTable kJump;
+
+// The state `steps` xorshift32 steps after x.
+uint32_t JumpAhead(uint32_t x, uint64_t steps) {
+  for (int k = 0; steps != 0; ++k, steps >>= 1) {
+    if (steps & 1) {
+      x = kJump.pow2[k].Apply(x);
+    }
+  }
+  return x;
+}
+
+// One xorshift32 step of four lanes.
+__m128i XorShift4(__m128i x) {
+  x = _mm_xor_si128(x, _mm_slli_epi32(x, 13));
+  x = _mm_xor_si128(x, _mm_srli_epi32(x, 17));
+  return _mm_xor_si128(x, _mm_slli_epi32(x, 5));
+}
+
+// Transposes a 16x16 byte matrix held as 16 rows. Each round interleaves row
+// i with row i + 8, which rotates the 8-bit (row, column) index left by one;
+// four rounds swap row and column.
+void Transpose16x16(__m128i* rows) {
+#pragma GCC unroll 4
+  for (int round = 0; round < 4; ++round) {
+    __m128i t[16];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      t[2 * i] = _mm_unpacklo_epi8(rows[i], rows[i + 8]);
+      t[2 * i + 1] = _mm_unpackhi_epi8(rows[i], rows[i + 8]);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      rows[i] = t[i];
+    }
+  }
+}
+
+// Writes the `len` payload bytes of the chain that starts after state x. The
+// payload is cut into 16 equal chunks of a multiple of 16 bytes; lane l starts
+// at M^(l * chunk) x, found by jumping ahead, and all 16 lanes step in lockstep
+// in four SSE2 registers. Every 16 steps the 16x16 block of low bytes is
+// transposed so each lane stores 16 contiguous bytes. The bytes past the last
+// chunk continue serially from the last lane's end state.
+void FillPayload(uint32_t x, uint8_t* out, size_t len) {
+  constexpr size_t kLanes = 16;
+  size_t chunk = len / (kLanes * 16) * 16;
+  if (chunk > 0) {
+    alignas(16) uint32_t start[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+      start[l] = x;
+      x = JumpAhead(x, chunk);
+    }
+    __m128i v[4];
+    for (int q = 0; q < 4; ++q) {
+      v[q] = _mm_load_si128(reinterpret_cast<const __m128i*>(start + 4 * q));
+    }
+    const __m128i low_byte = _mm_set1_epi32(0xff);
+    const __m128i all_ones = _mm_set1_epi8(-1);
+    for (size_t off = 0; off < chunk; off += 16) {
+      __m128i rows[16];  // rows[s] = byte s of every lane
+#pragma GCC unroll 16
+      for (int s = 0; s < 16; ++s) {
+#pragma GCC unroll 4
+        for (int q = 0; q < 4; ++q) {
+          v[q] = XorShift4(v[q]);
+        }
+        __m128i lo = _mm_packs_epi32(_mm_and_si128(v[0], low_byte), _mm_and_si128(v[1], low_byte));
+        __m128i hi = _mm_packs_epi32(_mm_and_si128(v[2], low_byte), _mm_and_si128(v[3], low_byte));
+        __m128i b = _mm_packus_epi16(lo, hi);
+        rows[s] = _mm_add_epi8(b, _mm_cmpeq_epi8(b, all_ones));  // 0xff + 0xff = 0xfe
+      }
+      Transpose16x16(rows);
+#pragma GCC unroll 16
+      for (size_t l = 0; l < kLanes; ++l) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + l * chunk + off), rows[l]);
+      }
+    }
+  }
+  for (size_t i = kLanes * chunk; i < len; ++i) {
+    x = XorShift(x);
+    out[i] = PayloadByte(x);
   }
 }
 
@@ -52,15 +182,7 @@ std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
   f[1] = 0xd8;
   f[2] = 0xff;
   f[3] = 0xe0;
-  uint32_t x = seq * 2654435761u ^ resolution ^ 0x9e3779b9u;
-  for (size_t i = 4; i + 2 < f.size(); ++i) {
-    x ^= x << 13;
-    x ^= x >> 17;
-    x ^= x << 5;
-    uint8_t b = static_cast<uint8_t>(x);
-    // Avoid embedding 0xff marker bytes in the entropy payload.
-    f[i] = b == 0xff ? 0xfe : b;
-  }
+  FillPayload(seq * 2654435761u ^ resolution ^ 0x9e3779b9u, f.data() + 4, f.size() - 6);
   f[f.size() - 2] = 0xff;
   f[f.size() - 1] = 0xd9;  // EOI
   return f;

@@ -1,5 +1,6 @@
 #include "src/fault/fault_injector.h"
 
+#include <atomic>
 #include <string>
 
 #include "src/obs/telemetry.h"
@@ -185,12 +186,31 @@ bool FaultInjector::ShouldFire(ArmedSpec& a) {
   return true;
 }
 
+namespace {
+
+// "fault.injected.<kind>", resolved on a kind's first injection (so only kinds
+// that fired are registered). Atomic slots: a racing double-resolve stores the
+// same pointer.
+Counter& KindCounter(FaultKind k) {
+  static std::array<std::atomic<Counter*>, static_cast<size_t>(FaultKind::kKindCount)> cache{};
+  std::atomic<Counter*>& slot = cache[static_cast<size_t>(k)];
+  Counter* c = slot.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    c = &Telemetry::Get().metrics().counter(std::string("fault.injected.") + FaultKindName(k));
+    slot.store(c, std::memory_order_release);
+  }
+  return *c;
+}
+
+}  // namespace
+
 void FaultInjector::CountFault(FaultKind k, uint16_t device, uint64_t detail) {
   ++injected_[static_cast<size_t>(k)];
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
-    t.metrics().counter("fault.injected").Inc();
-    t.metrics().counter(std::string("fault.injected.") + FaultKindName(k)).Inc();
+    static Counter* total = &t.metrics().counter("fault.injected");
+    total->Inc();
+    KindCounter(k).Inc();
     t.Instant(TraceKind::kFaultInjected, machine_->clock().now_us(),
               FaultKindName(k), detail, 0, device);
   }

@@ -5,6 +5,7 @@
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -33,10 +34,14 @@ class BusFaultHook {
 
 class AddressSpace {
  private:
+  struct FreeBytes {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
   struct RamWindow {
     PhysAddr base;
     uint64_t size;
-    std::unique_ptr<uint8_t[]> bytes;
+    // calloc'd: a large window is fresh zero pages, committed on first touch.
+    std::unique_ptr<uint8_t[], FreeBytes> bytes;
   };
   struct MmioWindow {
     PhysAddr base;

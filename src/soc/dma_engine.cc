@@ -75,9 +75,12 @@ void DmaEngine::StartChannel(int ch) {
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
     uint64_t bytes = bytes_transferred_ - bytes_before;
-    t.metrics().counter("dma.bytes").Inc(bytes);
-    t.metrics().counter("dma.transfers").Inc();
-    t.metrics().histogram("dma.xfer_us").Record(cost_us);
+    static Counter* bytes_total = &t.metrics().counter("dma.bytes");
+    static Counter* transfers = &t.metrics().counter("dma.transfers");
+    static Histogram* xfer_us = &t.metrics().histogram("dma.xfer_us");
+    bytes_total->Inc(bytes);
+    transfers->Inc();
+    xfer_us->Record(cost_us);
     t.Span(TraceKind::kDmaTransfer, clock_->now_us(), cost_us, "dma_xfer", bytes,
            static_cast<uint64_t>(ch));
   }

@@ -24,7 +24,8 @@ void InterruptController::Raise(int line) {
     ++raise_counts_[static_cast<size_t>(line)];
     Telemetry& t = Telemetry::Get();
     if (t.enabled()) {
-      t.metrics().counter("irq.raises").Inc();
+      static Counter* raises = &t.metrics().counter("irq.raises");
+      raises->Inc();
       if (clock_ != nullptr) {
         t.Instant(TraceKind::kIrqRaise, clock_->now_us(), "irq_raise",
                   static_cast<uint64_t>(line));

@@ -150,7 +150,8 @@ void SecureWorld::WorldSwitch(std::string_view label, uint64_t direction) {
   ++world_switches_;
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
-    t.metrics().counter("tee.world_switches").Inc();
+    static Counter* switches = &t.metrics().counter("tee.world_switches");
+    switches->Inc();
     t.Instant(TraceKind::kWorldSwitch, machine_->clock().now_us(), label, direction);
   }
 }
@@ -175,9 +176,11 @@ Status SecureWorld::WaitForIrq(int line, uint64_t timeout_us) {
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
     uint64_t dur = clock.now_us() - t0;
-    t.metrics().histogram("tee.irq_wait_us").Record(dur);
+    static Histogram* wait_us = &t.metrics().histogram("tee.irq_wait_us");
+    static Counter* timeouts = &t.metrics().counter("tee.irq_wait_timeouts");
+    wait_us->Record(dur);
     if (!Ok(result)) {
-      t.metrics().counter("tee.irq_wait_timeouts").Inc();
+      timeouts->Inc();
     }
     t.Span(TraceKind::kIrqWait, t0, dur, "irq_wait", static_cast<uint64_t>(line),
            Ok(result) ? 0 : 1);

@@ -2,6 +2,8 @@
 // mass storage, VC4/VCHIQ camera — exercised natively (developer machine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
 
@@ -179,6 +181,48 @@ TEST_F(NativeDeviceTest, CameraFramesDifferAcrossSequence) {
   std::vector<uint8_t> b = Vc4Firmware::MakeFrame(1, 720);
   EXPECT_NE(a, b);
   EXPECT_EQ(a, Vc4Firmware::MakeFrame(0, 720));  // deterministic
+}
+
+// The frame definition: one serial xorshift32 chain, low byte per step with
+// 0xff mapped to 0xfe, between SOI/APP0 and EOI markers. MakeFrame computes
+// the chain in jump-ahead lanes and must reproduce it byte for byte.
+std::vector<uint8_t> SerialFrame(uint32_t seq, uint32_t resolution) {
+  std::vector<uint8_t> f(Vc4Firmware::FrameBytes(resolution));
+  if (f.size() < 8) {
+    return f;
+  }
+  f[0] = 0xff;
+  f[1] = 0xd8;
+  f[2] = 0xff;
+  f[3] = 0xe0;
+  uint32_t x = seq * 2654435761u ^ resolution ^ 0x9e3779b9u;
+  for (size_t i = 4; i + 2 < f.size(); ++i) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    uint8_t b = static_cast<uint8_t>(x);
+    f[i] = b == 0xff ? 0xfe : b;
+  }
+  f[f.size() - 2] = 0xff;
+  f[f.size() - 1] = 0xd9;
+  return f;
+}
+
+TEST(Vc4FrameTest, MatchesSerialChainByteForByte) {
+  for (uint32_t res : {720u, 1080u, 1440u}) {
+    for (uint32_t seq : {0u, 1u, 2u, 7u, 0xffffffffu}) {
+      std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
+      ASSERT_EQ(Vc4Firmware::FrameBytes(res), f.size()) << res;
+      EXPECT_TRUE(f == SerialFrame(seq, res)) << "res " << res << " seq " << seq;
+      EXPECT_EQ((std::vector<uint8_t>{0xff, 0xd8, 0xff, 0xe0}),
+                std::vector<uint8_t>(f.begin(), f.begin() + 4));
+      EXPECT_EQ(0xff, f[f.size() - 2]);
+      EXPECT_EQ(0xd9, f[f.size() - 1]);
+      EXPECT_EQ(f.end() - 2, std::find(f.begin() + 4, f.end(), 0xff)) << "marker in payload";
+    }
+  }
+  EXPECT_TRUE(Vc4Firmware::MakeFrame(0, 480).empty());
+  EXPECT_EQ(0u, Vc4Firmware::FrameBytes(480));
 }
 
 TEST_F(NativeDeviceTest, Vc4SoftResetDropsSessionState) {

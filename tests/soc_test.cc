@@ -130,6 +130,20 @@ TEST(AddressSpaceTest, RamReadWriteRoundTrip) {
   EXPECT_EQ(0xdeadbeefu, *v);
 }
 
+TEST(AddressSpaceTest, FreshRamReadsZero) {
+  // DRAM-sized, so the window is lazily zeroed pages rather than a memset.
+  constexpr uint64_t kSize = 64ull << 20;
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0x1000'0000, kSize));
+  EXPECT_EQ(0u, *mem.Read32(World::kNormal, 0x1000'0000));
+  uint8_t last = 0xaa;
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1000'0000 + kSize - 1, &last, 1));
+  EXPECT_EQ(0, last);
+  std::vector<uint8_t> straddle(4096, 0xaa);  // spans two pages
+  ASSERT_EQ(Status::kOk, mem.DmaRead(0x1000'0000 + 12345 * 4096 + 2048, straddle.data(), 4096));
+  EXPECT_EQ(std::vector<uint8_t>(4096, 0), straddle);
+}
+
 TEST(AddressSpaceTest, MmioRoutesToDevice) {
   AddressSpace mem(nullptr);
   ScratchDevice dev;

@@ -63,6 +63,7 @@
 //
 // The signing key is fixed (kDeveloperKey) — this mirrors the single developer
 // identity of the paper's threat model; a real deployment would provision keys.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -802,8 +803,12 @@ int CmdFuzz(int argc, char** argv) {
     std::printf("boundary fuzz: %.1f s budget, seed %llu\n", cfg.seconds,
                 static_cast<unsigned long long>(cfg.seed));
   }
+  auto t0 = std::chrono::steady_clock::now();
   BoundaryFuzzStats clean = RunBoundaryFuzz(cfg);
+  double wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   PrintFuzzStats(clean);
+  std::printf("%.1f execs/s (%d mutants in %.1f s wall)\n", clean.runs / wall_s, clean.runs,
+              wall_s);
   int rc = clean.findings.empty() ? 0 : 1;
   if (rc == 0) {
     std::printf("no boundary violations\n");
